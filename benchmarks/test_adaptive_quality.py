@@ -21,7 +21,7 @@ quality numbers are comparable across hosts.
 import numpy as np
 import pytest
 
-from repro.detection import DetectorSpec, WindowSpec, create_detector, is_timed
+from repro.detection import DetectorSpec, WindowSpec, create_detector
 from repro.telemetry import theoretical_fp_bound
 
 WINDOW = 4096
@@ -67,13 +67,10 @@ def measure_variant(name: str, clicks: int = CLICKS) -> dict:
     timestamps = np.arange(clicks, dtype=np.float64)  # one click per unit
     false_positives = 0
     for start in range(0, clicks, CHUNK):
-        ids = identifiers[start:start + CHUNK]
-        if is_timed(detector):
-            verdicts = detector.process_batch_at(
-                ids, timestamps[start:start + CHUNK]
-            )
-        else:
-            verdicts = detector.process_batch(ids)
+        # Count-based variants ignore the timestamps.
+        verdicts = detector.observe_batch(
+            identifiers[start:start + CHUNK], timestamps[start:start + CHUNK]
+        )
         false_positives += int(np.count_nonzero(verdicts))
     bound = theoretical_fp_bound(detector)
     return {

@@ -20,7 +20,13 @@ import numpy as np
 import pytest
 
 from repro.cluster import LocalCluster
-from repro.detection.sharded import ShardedDetector
+from repro.detection import (
+    DetectorSpec,
+    ShardedDetector,
+    TBFParams,
+    WindowSpec,
+    create_detector,
+)
 from repro.metrics.throughput import ThroughputResult
 from repro.serve import ServeClient
 
@@ -37,9 +43,10 @@ CLUSTER_FLOOR = float(os.environ.get("REPRO_BENCH_CLUSTER_FLOOR", "1.5"))
 
 
 def build_reference() -> ShardedDetector:
-    return ShardedDetector._of_tbf(
-        WINDOW, SHARDS, TOTAL_ENTRIES, NUM_HASHES, seed=1
-    )
+    return create_detector(DetectorSpec(
+        "tbf", WindowSpec("sliding", WINDOW),
+        params=TBFParams(TOTAL_ENTRIES, NUM_HASHES), seed=1, shards=SHARDS,
+    ))
 
 
 def _stream(count, seed=13):
@@ -84,8 +91,8 @@ def run_cluster_sweep(node_counts=NODE_COUNTS, clicks=TOTAL_CLICKS):
     ]
 
     reference = build_reference()
-    reference.process_batch(warmup)
-    expected = reference.process_batch(segment)
+    reference.observe_batch(warmup)
+    expected = reference.observe_batch(segment)
 
     results = {}
     for nodes in node_counts:

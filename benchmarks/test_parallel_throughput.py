@@ -17,7 +17,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.detection.sharded import ShardedDetector
+from repro.detection import (
+    DetectorSpec,
+    ShardedDetector,
+    TBFParams,
+    WindowSpec,
+    create_detector,
+)
 from repro.metrics.throughput import ThroughputResult
 from repro.parallel import ParallelShardedDetector
 from repro.streams import distinct_stream
@@ -33,9 +39,12 @@ PARALLEL_FLOOR = float(os.environ.get("REPRO_BENCH_PARALLEL_FLOOR", "2.5"))
 
 
 def build_reference(workers: int) -> ShardedDetector:
-    return ShardedDetector._of_tbf(
-        WINDOW, workers, TOTAL_ENTRIES, NUM_HASHES, seed=1
-    )
+    detector = create_detector(DetectorSpec(
+        "tbf", WindowSpec("sliding", WINDOW),
+        params=TBFParams(TOTAL_ENTRIES, NUM_HASHES), seed=1, shards=workers,
+    ))
+    # At one shard the factory builds the bare TBF; keep the fleet surface.
+    return detector if workers > 1 else ShardedDetector([detector])
 
 
 def run_parallel_sweep(worker_counts=WORKER_COUNTS):
@@ -50,17 +59,17 @@ def run_parallel_sweep(worker_counts=WORKER_COUNTS):
     results = {}
     for workers in worker_counts:
         reference = build_reference(workers)
-        reference.process_batch(warmup)
-        expected = reference.process_batch(segment)
+        reference.observe_batch(warmup)
+        expected = reference.observe_batch(segment)
 
         fleet = ParallelShardedDetector(
             build_reference(workers), slot_items=CHUNK
         )
         try:
-            fleet.process_batch(warmup)
+            fleet.observe_batch(warmup)
             start = time.perf_counter()
             verdicts = [
-                fleet.process_batch(segment[offset : offset + CHUNK])
+                fleet.observe_batch(segment[offset : offset + CHUNK])
                 for offset in range(0, TIMED, CHUNK)
             ]
             elapsed = time.perf_counter() - start
@@ -116,13 +125,13 @@ def test_single_process_batch_still_wins_small_batches(report):
     chunk = 64
     segment = distinct_stream(4 * chunk, seed=9).astype(np.uint64)
     reference = build_reference(2)
-    expected = reference.process_batch(segment)
+    expected = reference.observe_batch(segment)
 
     fleet = ParallelShardedDetector(build_reference(2), slot_items=chunk)
     try:
         verdicts = np.concatenate(
             [
-                fleet.process_batch(segment[offset : offset + chunk])
+                fleet.observe_batch(segment[offset : offset + chunk])
                 for offset in range(0, segment.shape[0], chunk)
             ]
         )

@@ -16,7 +16,7 @@ the advertiser's memory budget to show exactly that.
 Run:  python examples/advertiser_audit.py
 """
 
-from repro import WindowSpec, create_detector, demo_network, run_audit
+from repro import DetectorSpec, WindowSpec, create_detector, demo_network, run_audit
 from repro.adnet import TrafficProfile
 from repro.metrics import render_table
 

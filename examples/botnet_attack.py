@@ -10,8 +10,16 @@ reports the economics with and without detection.
 Run:  python examples/botnet_attack.py
 """
 
-from repro import AdNetwork, DetectionPipeline, TrafficProfile, WindowSpec, create_detector
+from repro import (
+    AdNetwork,
+    DetectionPipeline,
+    DetectorSpec,
+    TrafficProfile,
+    WindowSpec,
+    create_detector,
+)
 from repro.adnet import competitor_botnet
+from repro.core import CountBasedDetector
 from repro.detection import AlertEngine, default_rules
 from repro.metrics import render_table
 from repro.streams import DEFAULT_SCHEME, TrafficClass
@@ -49,7 +57,7 @@ def run_once(with_detection: bool, seed: int = 11):
     if with_detection:
         detector = create_detector(DetectorSpec(algorithm="tbf", window=WindowSpec("sliding", 16_384), target_fp=0.001, seed=seed))
     else:
-        class AcceptEverything:
+        class AcceptEverything(CountBasedDetector):
             def process(self, identifier: int) -> bool:
                 return False
 

@@ -16,7 +16,7 @@ shows the two complementary streaming detectors that catch it anyway:
 Run:  python examples/coalition_hunt.py
 """
 
-from repro import WindowSpec, create_detector
+from repro import DetectorSpec, WindowSpec, create_detector
 from repro.analysis import AttackCostModel, attacker_roi
 from repro.detection import CoalitionDetector, SkewMonitor
 from repro.metrics import render_table

@@ -18,7 +18,7 @@ Run:  python examples/sharded_deployment.py
 """
 
 from repro.core import load_detector, save_detector
-from repro.detection import ShardedDetector
+from repro.detection import DetectorSpec, TBFParams, WindowSpec, create_detector
 from repro.streams import DuplicateSpec, duplicated_stream
 
 
@@ -29,9 +29,14 @@ def main() -> None:
     )]
 
     # Fleet A: uninterrupted.  Fleet B: shard 2 "crashes" mid-stream and
-    # is restored from its latest checkpoint.
-    fleet_a = ShardedDetector._of_tbf(window, shards, entries, num_hashes=8, seed=1)
-    fleet_b = ShardedDetector._of_tbf(window, shards, entries, num_hashes=8, seed=1)
+    # is restored from its latest checkpoint.  The spec splits the window
+    # and the entry budget evenly across the shards.
+    spec = DetectorSpec(
+        "tbf", WindowSpec("sliding", window),
+        params=TBFParams(entries, num_hashes=8), seed=1, shards=shards,
+    )
+    fleet_a = create_detector(spec)
+    fleet_b = create_detector(spec)
 
     crash_at = 30_000
     checkpoint = None
@@ -43,8 +48,8 @@ def main() -> None:
         if position == crash_at:
             # Simulated crash + restore of shard 2 from its checkpoint.
             fleet_b.shards[2] = load_detector(checkpoint)
-        verdict_a = fleet_a.process(identifier)
-        verdict_b = fleet_b.process(identifier)
+        verdict_a = fleet_a.observe(identifier)
+        verdict_b = fleet_b.observe(identifier)
         duplicates += verdict_a
         if verdict_a != verdict_b:
             mismatches += 1

@@ -12,7 +12,7 @@ the advertiser's budget from being drained in the first hour.
 Run:  python examples/smart_pricing.py
 """
 
-from repro import AdNetwork, TrafficProfile, WindowSpec, create_detector
+from repro import AdNetwork, DetectorSpec, TrafficProfile, WindowSpec, create_detector
 from repro.adnet import BudgetPacer, PacingConfig, dishonest_publisher, paced_charge
 from repro.detection import ClickQualityTracker, QualityConfig
 from repro.errors import BudgetError

@@ -53,12 +53,10 @@ from .core import (
 from .adaptive import (
     AdaptiveController,
     AdaptiveDetector,
-    AdaptiveTimedDetector,
     AgePartitionedBFDetector,
     ControllerConfig,
     ResizeEvent,
     TimeLimitedBFDetector,
-    adaptive_detector,
     scaled_spec,
 )
 from .detection import (
@@ -70,12 +68,10 @@ from .detection import (
     DetectorSpec,
     GBFParams,
     TBFParams,
-    TimedDetector,
     TLBFParams,
     WindowSpec,
     as_lifecycle,
     create_detector,
-    wrap_timed,
 )
 from .errors import (
     BudgetError,
@@ -151,8 +147,6 @@ __all__ = [
     "AgePartitionedBFDetector",
     "TimeLimitedBFDetector",
     "AdaptiveDetector",
-    "AdaptiveTimedDetector",
-    "adaptive_detector",
     "AdaptiveController",
     "ControllerConfig",
     "ResizeEvent",
@@ -163,8 +157,6 @@ __all__ = [
     "create_detector",
     "DetectorSpec",
     "Detector",
-    "TimedDetector",
-    "wrap_timed",
     "WindowSpec",
     "GBFParams",
     "TBFParams",

@@ -23,11 +23,7 @@ from .filters import (
     plan_tlbf_for_target,
     plan_tlbf_from_memory,
 )
-from .lifecycle import (
-    AdaptiveDetector,
-    AdaptiveTimedDetector,
-    adaptive_detector,
-)
+from .lifecycle import AdaptiveDetector
 from .controller import AdaptiveController, ControllerConfig, ResizeEvent, scaled_spec
 
 __all__ = [
@@ -40,8 +36,6 @@ __all__ = [
     "plan_tlbf_for_target",
     "plan_tlbf_from_memory",
     "AdaptiveDetector",
-    "AdaptiveTimedDetector",
-    "adaptive_detector",
     "AdaptiveController",
     "ControllerConfig",
     "ResizeEvent",

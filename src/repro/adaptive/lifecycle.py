@@ -7,15 +7,15 @@ bound, or a shrunken stream leaves most of the memory idle — the only
 remedy is a *resize*: build a filter of the new size and warm it with
 the recent past.
 
-:class:`AdaptiveDetector` (count-based) and
-:class:`AdaptiveTimedDetector` (time-based) make that remedy a method
-call.  Each wraps an inner detector built from a
+:class:`AdaptiveDetector` makes that remedy a method call, for either
+time model.  It wraps an inner detector built from a
 :class:`~repro.detection.DetectorSpec` and retains a bounded window of
-the most recent arrivals.  ``migrate(new_spec)`` builds a fresh inner
+the most recent arrivals (with their timestamps when the spec is
+time-based).  ``migrate(new_spec)`` builds a fresh inner
 detector from ``new_spec``, replays the retained window through it, and
 swaps it in — the wrapper object (and therefore every reference held by
-pipelines, routers, and instruments) survives the resize.  Both
-wrappers natively implement the full
+pipelines, routers, and instruments) survives the resize.  The wrapper
+natively implements the full
 :class:`~repro.detection.DetectorLifecycle` protocol
 (``quiesce / checkpoint / migrate / resume``), so the supervised
 pipeline, the parallel fleet, and the cluster router drive them through
@@ -29,14 +29,15 @@ same guarantee decay already gives them.
 
 Checkpoints round-trip the whole assembly — wrapper bookkeeping,
 retained window, spec, and the inner detector's bit-exact state — under
-the ``"adaptive"`` / ``"adaptive-timed"`` frame kinds.
+the ``"adaptive"`` frame kind; blobs of the retired ``"adaptive-timed"``
+kind still load.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict
-from typing import Deque, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -45,8 +46,10 @@ from ..core.checkpoint import (
     load_detector,
     pack_frame,
     register_checkpoint_kind,
+    register_retired_kind,
     save_detector,
 )
+from ..core.contract import batch_arrays
 from ..detection.detector import (
     PARAMS_TYPES,
     TIME_BASED_ALGORITHMS,
@@ -58,8 +61,6 @@ from ..errors import ConfigurationError
 
 __all__ = [
     "AdaptiveDetector",
-    "AdaptiveTimedDetector",
-    "adaptive_detector",
     "spec_to_dict",
     "spec_from_dict",
 ]
@@ -116,8 +117,19 @@ def spec_from_dict(data: dict) -> DetectorSpec:
     )
 
 
-class _AdaptiveBase:
-    """Shared machinery: retained window, lifecycle verbs, delegation."""
+class AdaptiveDetector:
+    """Resizable detector over either time model (see module docstring).
+
+    Parameters
+    ----------
+    spec:
+        The :class:`DetectorSpec` of the initial inner detector.  Its
+        algorithm fixes ``timed`` for the wrapper's life: a migrate must
+        keep the time model.
+    retain:
+        Replay-window length in clicks; defaults to ``spec.window.size``
+        (the window the sketch guarantees anyway).
+    """
 
     def __init__(
         self,
@@ -125,6 +137,7 @@ class _AdaptiveBase:
         *,
         retain: Optional[int] = None,
         _inner=None,
+        _buffer: Optional[Iterable] = None,
     ) -> None:
         if retain is None:
             retain = spec.window.size
@@ -132,9 +145,13 @@ class _AdaptiveBase:
             raise ConfigurationError(f"retain must be >= 1, got {retain}")
         self._spec = spec
         self.retain = retain
+        self.timed = spec.algorithm in TIME_BASED_ALGORITHMS
         self.inner = _inner if _inner is not None else create_detector(spec)
         self.migrations = 0
         self._quiesced = False
+        #: The newest arrivals: identifiers, or ``(identifier, timestamp)``
+        #: pairs when time-based.
+        self._buffer = deque(_buffer or (), maxlen=self.retain)
 
     # -- lifecycle ---------------------------------------------------
 
@@ -168,12 +185,45 @@ class _AdaptiveBase:
         that processed exactly the retained window.  The wrapper object
         itself is unchanged — references held elsewhere stay valid.
         """
-        self._check_spec(new_spec)
+        if (new_spec.algorithm in TIME_BASED_ALGORITHMS) != self.timed:
+            model = "time" if self.timed else "count"
+            raise ConfigurationError(
+                f"cannot migrate a {model}-based adaptive detector to "
+                f"{new_spec.algorithm!r}; a migrate keeps the time model"
+            )
         fresh = create_detector(new_spec)
-        self._replay(fresh)
+        if self._buffer:
+            fresh.observe_batch(*self._buffer_arrays())
         self.inner = fresh
         self._spec = new_spec
         self.migrations += 1
+
+    # -- the detector contract ---------------------------------------
+
+    def observe(self, identifier: int, timestamp: Optional[float] = None) -> bool:
+        verdict = self.inner.observe(identifier, timestamp)
+        self._buffer.append(
+            (int(identifier), float(timestamp)) if self.timed else int(identifier)
+        )
+        return verdict
+
+    def observe_batch(self, identifiers, timestamps=None) -> np.ndarray:
+        identifiers, timestamps = batch_arrays(self, identifiers, timestamps)
+        verdicts = self.inner.observe_batch(identifiers, timestamps)
+        tail = identifiers[-self.retain :].tolist()
+        if timestamps is None:
+            self._buffer.extend(tail)
+        else:
+            self._buffer.extend(zip(tail, timestamps[-self.retain :].tolist()))
+        return verdicts
+
+    def _buffer_arrays(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The retained window as ``(identifiers, timestamps or None)``."""
+        if not self.timed:
+            return np.fromiter(self._buffer, dtype=np.uint64), None
+        ids = np.fromiter((i for i, _ in self._buffer), dtype=np.uint64)
+        times = np.fromiter((t for _, t in self._buffer), dtype=np.float64)
+        return ids, times
 
     # -- shared surface ----------------------------------------------
 
@@ -216,7 +266,10 @@ class _AdaptiveBase:
     def __getattr__(self, name: str):
         # Fallback delegation for read-only surface (duplicates, query
         # helpers, counters).  Only called when normal lookup fails.
-        if name.startswith("_"):
+        # The inner detector's process* entry points stay hidden: a
+        # click that skipped observe/observe_batch would never reach
+        # the retained window, and a migrate would forget it.
+        if name.startswith(("_", "process")):
             raise AttributeError(name)
         return getattr(self.inner, name)
 
@@ -227,146 +280,12 @@ class _AdaptiveBase:
         )
 
 
-class AdaptiveDetector(_AdaptiveBase):
-    """Count-based resizable detector (see module docstring).
-
-    Parameters
-    ----------
-    spec:
-        The :class:`DetectorSpec` of the initial inner detector; must be
-        a count-based algorithm.
-    retain:
-        Replay-window length in clicks; defaults to ``spec.window.size``
-        (the window the sketch guarantees anyway).
-    """
-
-    def __init__(
-        self,
-        spec: DetectorSpec,
-        *,
-        retain: Optional[int] = None,
-        _inner=None,
-        _buffer: Optional[Iterable[int]] = None,
-    ) -> None:
-        if spec.algorithm in TIME_BASED_ALGORITHMS:
-            raise ConfigurationError(
-                f"{spec.algorithm} is time-based; use AdaptiveTimedDetector"
-            )
-        super().__init__(spec, retain=retain, _inner=_inner)
-        self._buffer: Deque[int] = deque(_buffer or (), maxlen=self.retain)
-
-    def _check_spec(self, new_spec: DetectorSpec) -> None:
-        if new_spec.algorithm in TIME_BASED_ALGORITHMS:
-            raise ConfigurationError(
-                "cannot migrate a count-based adaptive detector to the "
-                f"time-based algorithm {new_spec.algorithm!r}"
-            )
-
-    def _replay(self, fresh) -> None:
-        if not self._buffer:
-            return
-        batch = getattr(fresh, "process_batch", None)
-        if batch is not None:
-            batch(np.fromiter(self._buffer, dtype=np.uint64))
-        else:
-            for identifier in self._buffer:
-                fresh.process(identifier)
-
-    def process(self, identifier: int) -> bool:
-        verdict = self.inner.process(identifier)
-        self._buffer.append(int(identifier))
-        return verdict
-
-    def process_batch(self, identifiers: np.ndarray) -> np.ndarray:
-        verdicts = self.inner.process_batch(identifiers)
-        tail = np.asarray(identifiers)[-self.retain :]
-        self._buffer.extend(int(x) for x in tail)
-        return verdicts
-
-    def query(self, identifier: int) -> bool:
-        return self.inner.query(identifier)
-
-
-class AdaptiveTimedDetector(_AdaptiveBase):
-    """Time-based resizable detector (see module docstring).
-
-    Retains ``(identifier, timestamp)`` pairs and replays them through
-    ``process_at`` / ``process_batch_at`` on migrate.  Deliberately does
-    **not** define ``process`` so :func:`~repro.detection.is_timed`
-    classifies it as timed.
-    """
-
-    def __init__(
-        self,
-        spec: DetectorSpec,
-        *,
-        retain: Optional[int] = None,
-        _inner=None,
-        _buffer: Optional[Iterable[Tuple[int, float]]] = None,
-    ) -> None:
-        if spec.algorithm not in TIME_BASED_ALGORITHMS:
-            raise ConfigurationError(
-                f"{spec.algorithm} is count-based; use AdaptiveDetector"
-            )
-        super().__init__(spec, retain=retain, _inner=_inner)
-        self._buffer: Deque[Tuple[int, float]] = deque(
-            _buffer or (), maxlen=self.retain
-        )
-
-    def _check_spec(self, new_spec: DetectorSpec) -> None:
-        if new_spec.algorithm not in TIME_BASED_ALGORITHMS:
-            raise ConfigurationError(
-                "cannot migrate a time-based adaptive detector to the "
-                f"count-based algorithm {new_spec.algorithm!r}"
-            )
-
-    def _replay(self, fresh) -> None:
-        if not self._buffer:
-            return
-        batch = getattr(fresh, "process_batch_at", None)
-        if batch is not None:
-            ids = np.fromiter((i for i, _ in self._buffer), dtype=np.uint64)
-            times = np.fromiter((t for _, t in self._buffer), dtype=np.float64)
-            batch(ids, times)
-        else:
-            for identifier, timestamp in self._buffer:
-                fresh.process_at(identifier, timestamp)
-
-    def process_at(self, identifier: int, timestamp: float) -> bool:
-        verdict = self.inner.process_at(identifier, timestamp)
-        self._buffer.append((int(identifier), float(timestamp)))
-        return verdict
-
-    def process_batch_at(
-        self, identifiers: np.ndarray, timestamps: np.ndarray
-    ) -> np.ndarray:
-        verdicts = self.inner.process_batch_at(identifiers, timestamps)
-        ids = np.asarray(identifiers)[-self.retain :]
-        times = np.asarray(timestamps)[-self.retain :]
-        self._buffer.extend(
-            (int(i), float(t)) for i, t in zip(ids, times)
-        )
-        return verdicts
-
-    def query_at(self, identifier: int, timestamp: float) -> bool:
-        return self.inner.query_at(identifier, timestamp)
-
-
-def adaptive_detector(
-    spec: DetectorSpec, *, retain: Optional[int] = None
-):
-    """Build the right adaptive wrapper for ``spec``'s time model."""
-    if spec.algorithm in TIME_BASED_ALGORITHMS:
-        return AdaptiveTimedDetector(spec, retain=retain)
-    return AdaptiveDetector(spec, retain=retain)
-
-
 # -- checkpointing ---------------------------------------------------
 
 
 def _save_adaptive(detector: AdaptiveDetector) -> bytes:
     inner_blob = save_detector(detector.inner)
-    ids = np.fromiter(detector._buffer, dtype=np.uint64)
+    ids, times = detector._buffer_arrays()
     header = {
         "kind": "adaptive",
         "spec": spec_to_dict(detector._spec),
@@ -374,56 +293,29 @@ def _save_adaptive(detector: AdaptiveDetector) -> bytes:
         "migrations": detector.migrations,
         "buffer_len": int(ids.size),
     }
-    return pack_frame(header, ids.tobytes() + inner_blob)
+    retained = ids.tobytes() + (b"" if times is None else times.tobytes())
+    return pack_frame(header, retained + inner_blob)
 
 
 def _load_adaptive(header: dict, payload: bytes) -> AdaptiveDetector:
-    buffer_len = int(header["buffer_len"])
-    split = buffer_len * 8
-    ids = np.frombuffer(payload[:split], dtype=np.uint64)
-    if ids.size != buffer_len:
-        raise CheckpointError("adaptive checkpoint buffer truncated")
-    inner = load_detector(payload[split:])
+    """Inverse of :func:`_save_adaptive`; the spec says whether the
+    retained ids are followed by their timestamps."""
     spec = spec_from_dict(header["spec"])
+    timed = spec.algorithm in TIME_BASED_ALGORITHMS
+    buffer_len = int(header["buffer_len"])
+    ids = np.frombuffer(payload[: buffer_len * 8], dtype=np.uint64)
+    split = buffer_len * 8
+    times = None
+    if timed:
+        times = np.frombuffer(payload[split : split * 2], dtype=np.float64)
+        split *= 2
+    if ids.size != buffer_len or (timed and times.size != buffer_len):
+        raise CheckpointError(f"{header['kind']} checkpoint buffer truncated")
     detector = AdaptiveDetector(
         spec,
         retain=int(header["retain"]),
-        _inner=inner,
-        _buffer=(int(x) for x in ids),
-    )
-    detector.migrations = int(header["migrations"])
-    return detector
-
-
-def _save_adaptive_timed(detector: AdaptiveTimedDetector) -> bytes:
-    inner_blob = save_detector(detector.inner)
-    ids = np.fromiter((i for i, _ in detector._buffer), dtype=np.uint64)
-    times = np.fromiter((t for _, t in detector._buffer), dtype=np.float64)
-    header = {
-        "kind": "adaptive-timed",
-        "spec": spec_to_dict(detector._spec),
-        "retain": detector.retain,
-        "migrations": detector.migrations,
-        "buffer_len": int(ids.size),
-    }
-    return pack_frame(header, ids.tobytes() + times.tobytes() + inner_blob)
-
-
-def _load_adaptive_timed(header: dict, payload: bytes) -> AdaptiveTimedDetector:
-    buffer_len = int(header["buffer_len"])
-    ids = np.frombuffer(payload[: buffer_len * 8], dtype=np.uint64)
-    times = np.frombuffer(
-        payload[buffer_len * 8 : buffer_len * 16], dtype=np.float64
-    )
-    if ids.size != buffer_len or times.size != buffer_len:
-        raise CheckpointError("adaptive-timed checkpoint buffer truncated")
-    inner = load_detector(payload[buffer_len * 16 :])
-    spec = spec_from_dict(header["spec"])
-    detector = AdaptiveTimedDetector(
-        spec,
-        retain=int(header["retain"]),
-        _inner=inner,
-        _buffer=((int(i), float(t)) for i, t in zip(ids, times)),
+        _inner=load_detector(payload[split:]),
+        _buffer=zip(ids.tolist(), times.tolist()) if timed else ids.tolist(),
     )
     detector.migrations = int(header["migrations"])
     return detector
@@ -432,9 +324,5 @@ def _load_adaptive_timed(header: dict, payload: bytes) -> AdaptiveTimedDetector:
 register_checkpoint_kind(
     "adaptive", AdaptiveDetector, _save_adaptive, _load_adaptive
 )
-register_checkpoint_kind(
-    "adaptive-timed",
-    AdaptiveTimedDetector,
-    _save_adaptive_timed,
-    _load_adaptive_timed,
-)
+# Load-only alias: time-based wrappers saved before the count/time collapse.
+register_retired_kind("adaptive-timed", _load_adaptive)

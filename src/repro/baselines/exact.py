@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Tuple
 
+from ..core.contract import CountBasedDetector, TimeBasedDetector
 from ..errors import ConfigurationError
 from ..windows import (
     CountBasedWindow,
@@ -27,7 +28,7 @@ from ..windows import (
 )
 
 
-class ExactDetector:
+class ExactDetector(CountBasedDetector):
     """Zero-error duplicate detector over a count-based window model.
 
     Parameters
@@ -112,7 +113,7 @@ class ExactDetector:
         return DetectorSpec(algorithm="exact", window=window_spec)
 
 
-class TimeBasedExactDetector:
+class TimeBasedExactDetector(TimeBasedDetector):
     """Zero-error duplicate detector over a time-based window model."""
 
     def __init__(self, window: TimeBasedWindow) -> None:

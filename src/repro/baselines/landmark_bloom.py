@@ -13,12 +13,13 @@ from typing import Optional
 
 from ..bitset.words import OperationCounter
 from ..bloom import BloomFilter
+from ..core.contract import CountBasedDetector
 from ..errors import ConfigurationError
 from ..hashing import HashFamily
 from ..windows import LandmarkWindow
 
 
-class LandmarkBloomDetector:
+class LandmarkBloomDetector(CountBasedDetector):
     """Duplicate detector over a landmark window of ``window_size`` arrivals."""
 
     def __init__(

@@ -27,11 +27,12 @@ from typing import Deque, Optional, Sequence
 
 from ..bitset.words import OperationCounter
 from ..bloom import CountingBloomFilter
+from ..core.contract import CountBasedDetector
 from ..errors import ConfigurationError
 from ..hashing import HashFamily, SplitMixFamily
 
 
-class MetwallyCBFDetector:
+class MetwallyCBFDetector(CountBasedDetector):
     """Jumping-window duplicate detector with counting Bloom filters.
 
     Parameters

@@ -18,11 +18,12 @@ from typing import List, Optional, Sequence
 
 from ..bitset import BitVector
 from ..bitset.words import OperationCounter
+from ..core.contract import CountBasedDetector
 from ..errors import ConfigurationError
 from ..hashing import HashFamily, SplitMixFamily
 
 
-class NaiveSubwindowBloomDetector:
+class NaiveSubwindowBloomDetector(CountBasedDetector):
     """Duplicate detector over a jumping window with separate filters."""
 
     def __init__(

@@ -14,11 +14,12 @@ from __future__ import annotations
 from typing import Optional
 
 from ..bloom import StableBloomFilter
+from ..core.contract import CountBasedDetector
 from ..errors import ConfigurationError
 from ..hashing import HashFamily
 
 
-class StableBloomDetector:
+class StableBloomDetector(CountBasedDetector):
     """Duplicate detector backed by a stable Bloom filter.
 
     ``window_size`` is *nominal*: it is used only by

@@ -91,8 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "worker processes (requires --algorithm tbf; "
                         "default 1 = in-process)")
     detect.add_argument("--chunk-size", type=int, default=4096,
-                        help="clicks per batch on the multi-process path "
-                        "(default 4096)")
+                        help="clicks per detector batch call, at any worker "
+                        "count (default 4096)")
 
     plan = commands.add_parser("plan", help="size a detector")
     plan.add_argument("--window", type=int, required=True)
@@ -309,12 +309,6 @@ def _spec_from_args(args: argparse.Namespace, shards: int = 1) -> DetectorSpec:
     )
 
 
-def _detector_from_args(args: argparse.Namespace):
-    """Build the detector `detect`/`monitor`/`serve` all describe."""
-    spec = _spec_from_args(args)
-    return create_detector(spec), spec.window.size
-
-
 def _command_generate(args: argparse.Namespace) -> int:
     network = AdNetwork(seed=args.seed)
     network.add_advertiser("alpha", budget=1e9,
@@ -346,77 +340,36 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 
 def _command_detect(args: argparse.Namespace) -> int:
-    if args.workers > 1:
-        return _detect_parallel(args)
-    clicks = load_clicks(args.input)
-    detector, window = _detector_from_args(args)
+    """``detect``: classify a stream file on the batch path.
 
-    quality = ClickQualityTracker(QualityConfig(window=window, grace_clicks=0))
-    engine = AlertEngine(default_rules())
-    pipeline = DetectionPipeline(detector)
-    duplicates = 0
-    for click in clicks:
-        is_duplicate = pipeline.process_click(click)
-        duplicates += is_duplicate
-        quality.observe(click, is_duplicate)
-        engine.observe(click, is_duplicate)
-
-    total = len(clicks)
-    print(f"{total} clicks; {duplicates} duplicates "
-          f"({100 * duplicates / max(total, 1):.2f}%)")
-    fraud_total = sum(1 for c in clicks if c.is_fraud)
-    if fraud_total:
-        print(f"(stream ground truth: {fraud_total} clicks from fraud campaigns)")
-    top = pipeline.scoreboard.top_sources(count=5, min_clicks=10)
-    if top:
-        print("\ntop suspicious sources:")
-        for key, stats in top:
-            print(f"  {key:#014x}  {stats.clicks:6d} clicks  "
-                  f"{100 * stats.duplicate_rate:5.1f}% duplicates")
-    if args.quality:
-        print("\nper-publisher click quality:")
-        rows = [
-            [publisher, data["clicks"], data["quality"], data["multiplier"]]
-            for publisher, data in sorted(quality.report().items())
-        ]
-        print(render_table(["publisher", "clicks", "quality", "smart-price x"], rows))
-    if engine.alerts:
-        print(f"\n{len(engine.alerts)} alerts (first 5):")
-        for alert in engine.alerts[:5]:
-            print(f"  [{alert.rule_name}] {alert.scope} {alert.key:#x}: "
-                  f"{100 * alert.duplicate_rate:.0f}% duplicates over "
-                  f"{alert.clicks} clicks")
-    return 0
-
-
-def _detect_parallel(args: argparse.Namespace) -> int:
-    """``detect --workers N``: sharded detection across worker processes.
-
-    The stream is consumed in batches (``read_batches``), routed once in
-    this process, and probed in ``N`` workers through shared-memory
-    rings.  Scoring, quality, and alerting consume the exact stream-order
-    verdicts, so the report matches the single-process command.
+    The stream is read in ``--chunk-size`` batches (``read_batches``),
+    each classified with one ``observe_batch`` call.  With ``--workers
+    N > 1`` the detector is sharded one shard per worker process, fed
+    through shared-memory rings.  Scoring, quality, and alerting
+    consume the stream-order verdicts either way.
     """
     import numpy as np
 
-    from .parallel import lift_sharded
-
-    if args.algorithm != "tbf":
+    if args.workers > 1 and args.algorithm != "tbf":
         print(f"error: --workers requires --algorithm tbf "
               f"(got {args.algorithm!r}); only count-based TBF shards are "
               f"wired into the CLI", file=sys.stderr)
         return 2
-    # One spec, sharded: the factory sizes a single TBF for the
-    # window/FP budget and spreads the same total memory across one
-    # shard per worker.
-    spec = _spec_from_args(args, shards=args.workers)
-    sharded = create_detector(spec)
-    window = spec.window.size
-    quality = ClickQualityTracker(QualityConfig(window=window, grace_clicks=0))
+    # With workers > 1 the factory sizes a single TBF for the window/FP
+    # budget and spreads the same total memory across one shard per
+    # worker.
+    spec = _spec_from_args(args, shards=max(1, args.workers))
+    detector = create_detector(spec)
+    quality = ClickQualityTracker(
+        QualityConfig(window=spec.window.size, grace_clicks=0)
+    )
     engine = AlertEngine(default_rules())
-    pipeline = DetectionPipeline(sharded)
+    pipeline = DetectionPipeline(detector)
     identify = pipeline.scheme.identify
-    parallel = lift_sharded(sharded, args.workers)
+    if args.workers > 1:
+        from .parallel import lift_sharded
+
+        detector = lift_sharded(detector, args.workers)
     total = duplicates = fraud_total = 0
     try:
         for batch in read_batches(args.input, max(1, args.chunk_size)):
@@ -425,7 +378,13 @@ def _detect_parallel(args: argparse.Namespace) -> int:
                 dtype=np.uint64,
                 count=len(batch),
             )
-            verdicts = parallel.process_batch(identifiers)
+            timestamps = (
+                np.fromiter((click.timestamp for click in batch),
+                            dtype=np.float64, count=len(batch))
+                if detector.timed
+                else None
+            )
+            verdicts = detector.observe_batch(identifiers, timestamps)
             for click, verdict in zip(batch, verdicts):
                 is_duplicate = bool(verdict)
                 total += 1
@@ -435,11 +394,12 @@ def _detect_parallel(args: argparse.Namespace) -> int:
                 quality.observe(click, is_duplicate)
                 engine.observe(click, is_duplicate)
     finally:
-        parallel.close(sync=True)
+        if args.workers > 1:
+            detector.close(sync=True)
 
+    suffix = f"  [{args.workers} workers]" if args.workers > 1 else ""
     print(f"{total} clicks; {duplicates} duplicates "
-          f"({100 * duplicates / max(total, 1):.2f}%)  "
-          f"[{args.workers} workers]")
+          f"({100 * duplicates / max(total, 1):.2f}%){suffix}")
     if fraud_total:
         print(f"(stream ground truth: {fraud_total} clicks from fraud campaigns)")
     top = pipeline.scoreboard.top_sources(count=5, min_clicks=10)
@@ -554,7 +514,7 @@ def _command_monitor(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     clicks = load_clicks(args.input)
-    detector, _ = _detector_from_args(args)
+    detector = create_detector(_spec_from_args(args))
 
     session = TelemetrySession(snapshot_every=args.every)
     session.on_snapshot(

@@ -4,8 +4,8 @@ The pieces, front to back:
 
 - :class:`HashRing` — deterministic consistent-hash placement of the
   global shards onto named nodes (fixed shard count, movable ownership).
-- :class:`ClusterSlice` / :class:`TimeClusterSlice` /
-  :func:`split_sharded` — node-local slices of one global sharded
+- :class:`ClusterSlice` / :func:`split_sharded` — node-local slices
+  of one global sharded
   detector, bit-identical shard-for-shard to the single-process run.
 - :class:`ClusterRouter` / :class:`RouterThread` — the stateless RPK1
   scatter/gather front that fans batches across nodes and reassembles
@@ -27,7 +27,6 @@ from .local import (
 )
 from .partition import (
     ClusterSlice,
-    TimeClusterSlice,
     build_slice_blob,
     slice_shard_blobs,
     split_sharded,
@@ -48,7 +47,6 @@ __all__ = [
     "read_manifest",
     "rebalance_checkpoints",
     "ClusterSlice",
-    "TimeClusterSlice",
     "split_sharded",
     "slice_shard_blobs",
     "build_slice_blob",

@@ -70,7 +70,8 @@ def read_manifest(state_dir: Union[str, Path]) -> Optional[dict]:
 
 def _collect_checkpoint_dirs(directories, keep: int = 2, expected_total=None):
     """Newest serve checkpoint of each directory → per-shard blobs plus
-    merged ``(processed, watermark, dedup floors)`` and the slice kind.
+    merged ``(processed, watermark, dedup floors)`` and the slices' time
+    model.
 
     Dedup windows are merged as *floors*: per client the new floor is
     the max ``max_applied`` over the old fleet with no cached entries,
@@ -81,7 +82,7 @@ def _collect_checkpoint_dirs(directories, keep: int = 2, expected_total=None):
     processed = 0
     watermark: Optional[float] = None
     floors: Dict[int, int] = {}
-    kind: Optional[str] = None
+    timed = False
     total = expected_total
     for directory in directories:
         found = False
@@ -92,7 +93,7 @@ def _collect_checkpoint_dirs(directories, keep: int = 2, expected_total=None):
                 header, payload = unpack_frame(blob)
                 if header.get("kind") != _CHECKPOINT_KIND:
                     continue
-                blob_total, blob_kind, blobs = slice_shard_blobs(bytes(payload))
+                blob_total, blob_timed, blobs = slice_shard_blobs(bytes(payload))
             except CheckpointError:
                 continue
             if total is None:
@@ -102,7 +103,7 @@ def _collect_checkpoint_dirs(directories, keep: int = 2, expected_total=None):
                     f"{directory} checkpoint covers {blob_total} shards, "
                     f"expected {total}"
                 )
-            kind = blob_kind
+            timed = blob_timed
             shard_blobs.update(blobs)
             processed += int(header.get("processed", 0))
             mark = header.get("watermark")
@@ -140,13 +141,13 @@ def _collect_checkpoint_dirs(directories, keep: int = 2, expected_total=None):
         "watermark": watermark,
         "dedup": merged_dedup,
     }
-    return shard_blobs, merged, kind, total
+    return shard_blobs, merged, timed, total
 
 
 def _seed_node_checkpoints(
     state_dir: Path,
     new_nodes: int,
-    kind: str,
+    timed: bool,
     total: int,
     shard_blobs: Dict[int, bytes],
     merged: dict,
@@ -175,7 +176,7 @@ def _seed_node_checkpoints(
         directory = state_dir / f"node-{index}"
         directory.mkdir(parents=True, exist_ok=True)
         CheckpointStore(directory, keep=keep).save(
-            pack_frame(header, build_slice_blob(kind, total, owned))
+            pack_frame(header, build_slice_blob(total, owned, timed=timed))
         )
     return assignment
 
@@ -210,11 +211,11 @@ def rebalance_checkpoints(
         )
     if not old_dirs:
         raise CheckpointError(f"no node checkpoint directories under {state}")
-    shard_blobs, merged, kind, total = _collect_checkpoint_dirs(
+    shard_blobs, merged, timed, total = _collect_checkpoint_dirs(
         old_dirs, keep=keep
     )
     assignment = _seed_node_checkpoints(
-        state, new_nodes, kind, total, shard_blobs, merged, keep=keep
+        state, new_nodes, timed, total, shard_blobs, merged, keep=keep
     )
     # Retire old directories past the new fleet so a later collection
     # can never pick up their stale shard state.
@@ -256,7 +257,7 @@ class LocalCluster:
     """Router + N serve nodes, one process, full cluster semantics.
 
     ``detector_factory`` must return a *pristine* sharded detector
-    (``ShardedDetector`` or ``TimeShardedDetector``) on every call; its
+    (``ShardedDetector``, of either time model) on every call; its
     ``num_shards`` fixes the cluster's ``total_shards``.  The factory is
     re-invoked to build fallback slices when a node boots — a node with
     a readable checkpoint restores from it instead.
@@ -296,7 +297,6 @@ class LocalCluster:
         self.assignment: Optional["np.ndarray"] = None
         self.total_shards: Optional[int] = None
         self._ports: Dict[int, int] = {}
-        self._kind: Optional[str] = None  # slice checkpoint kind
 
     # -- lifecycle ------------------------------------------------------
 
@@ -332,7 +332,6 @@ class LocalCluster:
         names = _node_names(self.num_nodes)
         self.assignment = HashRing(names).assign(total)
         slices = split_sharded(reference, self.assignment, self.num_nodes)
-        self._kind = slices[0].kind
         self.servers = [
             self._boot_node(index, slices[index])
             for index in range(self.num_nodes)
@@ -466,16 +465,15 @@ class LocalCluster:
             if thread is not None:
                 thread.stop()
         keep = self._node_template.checkpoint_keep
-        shard_blobs, merged, kind, _total = _collect_checkpoint_dirs(
+        shard_blobs, merged, timed, _total = _collect_checkpoint_dirs(
             [self.node_dir(index) for index in range(self.num_nodes)],
             keep=keep,
             expected_total=self.total_shards,
         )
-        self._kind = kind
         new_assignment = _seed_node_checkpoints(
             self.state_dir,
             new_nodes,
-            kind,
+            timed,
             self.total_shards,
             shard_blobs,
             merged,

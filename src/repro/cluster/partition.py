@@ -11,9 +11,10 @@ shard ``s`` on node ``n`` is constructed and fed exactly like shard
 and therefore the cluster's verdict stream — are bit-identical to the
 single-process run.
 
-Slices checkpoint under their own frame kinds (``cluster-slice`` /
-``cluster-time-slice``) whose payload is the concatenation of the owned
-shards' individual :func:`save_detector` blobs.  Keeping per-shard blobs
+Slices checkpoint under their own frame kind (``cluster-slice``; blobs
+of the retired ``cluster-time-slice`` kind still load) whose payload is
+the concatenation of the owned shards' individual
+:func:`save_detector` blobs.  Keeping per-shard blobs
 addressable inside the frame is what makes rebalancing cheap:
 :func:`slice_shard_blobs` / :func:`build_slice_blob` regroup raw CRC'd
 blobs between nodes without ever deserializing a filter.
@@ -21,7 +22,7 @@ blobs between nodes without ever deserializing a filter.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,33 +31,43 @@ from ..core.checkpoint import (
     load_detector,
     pack_frame,
     register_checkpoint_kind,
+    register_retired_kind,
     save_detector,
     unpack_frame,
 )
+from ..core.contract import batch_arrays
 from ..detection.sharded import (
     ShardedDetector,
-    TimeShardedDetector,
     default_router,
     route_batch,
     shard_groups,
+    shards_time_model,
 )
 from ..errors import ConfigurationError
 
 __all__ = [
     "ClusterSlice",
-    "TimeClusterSlice",
     "split_sharded",
     "slice_shard_blobs",
     "build_slice_blob",
 ]
 
 
-class _SliceBase:
-    """Shared plumbing for count- and time-based cluster slices."""
+class ClusterSlice:
+    """The node-local face of one global :class:`ShardedDetector`.
 
-    kind: str = ""
+    ``timed`` follows the owned shards, which must share one time model;
+    a slice that owns no shards takes it from ``timed`` (the fleet's).
+    """
 
-    def __init__(self, total_shards: int, shards: Dict[int, object]) -> None:
+    kind = "cluster-slice"
+
+    def __init__(
+        self,
+        total_shards: int,
+        shards: Dict[int, object],
+        timed: Optional[bool] = None,
+    ) -> None:
         total_shards = int(total_shards)
         if total_shards < 1:
             raise ConfigurationError(
@@ -72,6 +83,15 @@ class _SliceBase:
         self.shards: Dict[int, object] = {
             int(shard): detector for shard, detector in sorted(shards.items())
         }
+        if self.shards:
+            owned_model = shards_time_model(self.shards.values())
+            if timed is not None and bool(timed) != owned_model:
+                raise ConfigurationError(
+                    f"slice declared timed={timed} owns shards with "
+                    f"timed={owned_model}"
+                )
+            timed = owned_model
+        self.timed = bool(timed)
         self._scalar_router = default_router(total_shards)
 
     @property
@@ -95,6 +115,28 @@ class _SliceBase:
                 "the router's shard->node assignment disagrees with this "
                 "node's slice"
             ) from None
+
+    def observe(self, identifier: int, timestamp: Optional[float] = None) -> bool:
+        shard = self._scalar_router(int(identifier))
+        return self._owned_detector(shard).observe(int(identifier), timestamp)
+
+    def observe_batch(self, identifiers, timestamps=None) -> "np.ndarray":
+        identifiers, timestamps = batch_arrays(self, identifiers, timestamps)
+        out = np.empty(identifiers.shape[0], dtype=bool)
+        if identifiers.shape[0] == 0:
+            return out
+        for shard, positions in shard_groups(
+            route_batch(identifiers, self.total_shards)
+        ):
+            out[positions] = self._owned_detector(shard).observe_batch(
+                identifiers[positions],
+                None if timestamps is None else timestamps[positions],
+            )
+        return out
+
+    def query(self, identifier: int) -> bool:
+        shard = self._scalar_router(int(identifier))
+        return self._owned_detector(shard).query(int(identifier))
 
     def checkpoint_shard(self, shard: int) -> bytes:
         """One owned shard's blob — comparable byte-for-byte with
@@ -122,79 +164,11 @@ class _SliceBase:
         }
 
 
-class ClusterSlice(_SliceBase):
-    """Count-based slice: the node-local face of a ``ShardedDetector``."""
-
-    kind = "cluster-slice"
-
-    def process(self, identifier: int) -> bool:
-        shard = self._scalar_router(int(identifier))
-        return self._owned_detector(shard).process(int(identifier))
-
-    def process_batch(self, identifiers: "np.ndarray") -> "np.ndarray":
-        identifiers = np.asarray(identifiers, dtype=np.uint64)
-        if identifiers.ndim != 1:
-            raise ValueError(
-                f"identifiers must be 1-D, got {identifiers.ndim}-D"
-            )
-        out = np.empty(identifiers.shape[0], dtype=bool)
-        if identifiers.shape[0] == 0:
-            return out
-        for shard, positions in shard_groups(
-            route_batch(identifiers, self.total_shards)
-        ):
-            out[positions] = self._owned_detector(shard).process_batch(
-                identifiers[positions]
-            )
-        return out
-
-    def query(self, identifier: int) -> bool:
-        shard = self._scalar_router(int(identifier))
-        return self._owned_detector(shard).query(int(identifier))
-
-
-class TimeClusterSlice(_SliceBase):
-    """Time-based slice: the node-local face of a ``TimeShardedDetector``."""
-
-    kind = "cluster-time-slice"
-
-    def process_at(self, identifier: int, timestamp: float) -> bool:
-        shard = self._scalar_router(int(identifier))
-        return self._owned_detector(shard).process_at(
-            int(identifier), float(timestamp)
-        )
-
-    def process_batch_at(
-        self, identifiers: "np.ndarray", timestamps: "np.ndarray"
-    ) -> "np.ndarray":
-        identifiers = np.asarray(identifiers, dtype=np.uint64)
-        timestamps = np.asarray(timestamps, dtype=np.float64)
-        if identifiers.ndim != 1:
-            raise ValueError(
-                f"identifiers must be 1-D, got {identifiers.ndim}-D"
-            )
-        if timestamps.shape != identifiers.shape:
-            raise ValueError(
-                f"timestamps shape {timestamps.shape} != identifiers "
-                f"shape {identifiers.shape}"
-            )
-        out = np.empty(identifiers.shape[0], dtype=bool)
-        if identifiers.shape[0] == 0:
-            return out
-        for shard, positions in shard_groups(
-            route_batch(identifiers, self.total_shards)
-        ):
-            out[positions] = self._owned_detector(shard).process_batch_at(
-                identifiers[positions], timestamps[positions]
-            )
-        return out
-
-
 def split_sharded(
-    detector: Union[ShardedDetector, TimeShardedDetector],
+    detector: ShardedDetector,
     assignment: "np.ndarray",
     num_nodes: int,
-) -> List[_SliceBase]:
+) -> List[ClusterSlice]:
     """Split one sharded detector into ``num_nodes`` slices.
 
     The slices *take ownership of the detector's shard objects* — they
@@ -202,14 +176,10 @@ def split_sharded(
     fleet is bit-identical to the reference by construction.  The
     reference detector must not be used afterwards.
     """
-    if isinstance(detector, ShardedDetector):
-        cls: type = ClusterSlice
-    elif isinstance(detector, TimeShardedDetector):
-        cls = TimeClusterSlice
-    else:
+    if not isinstance(detector, ShardedDetector):
         raise ConfigurationError(
             f"cannot split a {type(detector).__name__}; need a "
-            "ShardedDetector or TimeShardedDetector"
+            "ShardedDetector"
         )
     if not detector._router_is_default:
         raise ConfigurationError(
@@ -237,13 +207,14 @@ def split_sharded(
             f"assignment references nodes outside [0, {num_nodes})"
         )
     return [
-        cls(
+        ClusterSlice(
             total,
             {
                 shard: detector.shards[shard]
                 for shard in range(total)
                 if int(assignment[shard]) == node
             },
+            timed=detector.timed,
         )
         for node in range(num_nodes)
     ]
@@ -254,21 +225,30 @@ def split_sharded(
 # frame addressable so rebalancing can regroup raw blobs between nodes.
 # ----------------------------------------------------------------------
 
-def _save_slice(detector: _SliceBase) -> bytes:
+def _save_slice(detector: ClusterSlice) -> bytes:
     owned = list(detector.shards)
     blobs = [save_detector(detector.shards[shard]) for shard in owned]
+    return _pack_slice(detector.timed, detector.total_shards, owned, blobs)
+
+
+def _pack_slice(timed: bool, total_shards: int, owned, blobs) -> bytes:
     header = {
-        "kind": detector.kind,
-        "total_shards": detector.total_shards,
+        "kind": ClusterSlice.kind,
+        "total_shards": int(total_shards),
         "owned": owned,
         "lengths": [len(blob) for blob in blobs],
+        "timed": bool(timed),
     }
     return pack_frame(header, b"".join(blobs))
 
 
+#: The retired time-based slice kind; its blobs still load (as timed).
+_RETIRED_TIME_KIND = "cluster-time-slice"
+
+
 def _split_slice_payload(
     header: Dict[str, object], payload: bytes
-) -> Tuple[int, Dict[int, bytes]]:
+) -> Tuple[int, bool, Dict[int, bytes]]:
     try:
         total = int(header["total_shards"])
         owned = [int(shard) for shard in header["owned"]]
@@ -284,62 +264,51 @@ def _split_slice_payload(
     for shard, length in zip(owned, lengths):
         blobs[shard] = payload[offset : offset + length]
         offset += length
-    return total, blobs
+    timed = bool(header.get("timed", header.get("kind") == _RETIRED_TIME_KIND))
+    return total, timed, blobs
 
 
-def _load_slice(cls):
-    def load(header: Dict[str, object], payload: bytes) -> _SliceBase:
-        total, blobs = _split_slice_payload(header, payload)
-        return cls(
-            total,
-            {shard: load_detector(blob) for shard, blob in blobs.items()},
-        )
-
-    return load
+def _load_slice(header: Dict[str, object], payload: bytes) -> ClusterSlice:
+    total, timed, blobs = _split_slice_payload(header, payload)
+    return ClusterSlice(
+        total,
+        {shard: load_detector(blob) for shard, blob in blobs.items()},
+        timed=timed,
+    )
 
 
-def slice_shard_blobs(blob: bytes) -> Tuple[int, str, Dict[int, bytes]]:
-    """``(total_shards, kind, {shard: raw blob})`` from a slice checkpoint.
+def slice_shard_blobs(blob: bytes) -> Tuple[int, bool, Dict[int, bytes]]:
+    """``(total_shards, timed, {shard: raw blob})`` from a slice checkpoint.
 
     Pure byte surgery — no detector is deserialized — so rebalancing can
     ship shard state between nodes at checkpoint speed.  Each returned
     blob still carries its own magic and CRC; corruption surfaces when
-    (and only when) someone loads it.
+    (and only when) someone loads it.  Blobs of the retired
+    ``cluster-time-slice`` kind are read as timed slices.
     """
     header, payload = unpack_frame(blob)
     kind = header.get("kind")
-    if kind not in (ClusterSlice.kind, TimeClusterSlice.kind):
+    if kind not in (ClusterSlice.kind, _RETIRED_TIME_KIND):
         raise CheckpointError(
             f"expected a cluster-slice checkpoint, got kind {kind!r}"
         )
-    total, blobs = _split_slice_payload(header, payload)
-    return total, str(kind), blobs
+    return _split_slice_payload(header, payload)
 
 
 def build_slice_blob(
-    kind: str, total_shards: int, shard_blobs: Dict[int, bytes]
+    total_shards: int, shard_blobs: Dict[int, bytes], *, timed: bool
 ) -> bytes:
     """Inverse of :func:`slice_shard_blobs`: regroup raw shard blobs
-    into a loadable slice checkpoint for a (possibly different) node."""
-    if kind not in (ClusterSlice.kind, TimeClusterSlice.kind):
-        raise CheckpointError(f"unknown cluster-slice kind {kind!r}")
+    into a loadable slice checkpoint for a (possibly different) node.
+
+    Always writes the one ``cluster-slice`` kind, so regrouping a state
+    directory of retired ``cluster-time-slice`` blobs upgrades it.
+    """
     owned = sorted(int(shard) for shard in shard_blobs)
-    blobs = [shard_blobs[shard] for shard in owned]
-    header = {
-        "kind": kind,
-        "total_shards": int(total_shards),
-        "owned": owned,
-        "lengths": [len(blob) for blob in blobs],
-    }
-    return pack_frame(header, b"".join(blobs))
+    return _pack_slice(
+        timed, total_shards, owned, [shard_blobs[shard] for shard in owned]
+    )
 
 
-register_checkpoint_kind(
-    ClusterSlice.kind, ClusterSlice, _save_slice, _load_slice(ClusterSlice)
-)
-register_checkpoint_kind(
-    TimeClusterSlice.kind,
-    TimeClusterSlice,
-    _save_slice,
-    _load_slice(TimeClusterSlice),
-)
+register_checkpoint_kind(ClusterSlice.kind, ClusterSlice, _save_slice, _load_slice)
+register_retired_kind(_RETIRED_TIME_KIND, _load_slice)

@@ -529,7 +529,12 @@ class _Session:
             try:
                 self._writer.close()
                 await self._writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
+            except (asyncio.CancelledError, ConnectionResetError,
+                    BrokenPipeError, OSError):
+                # drain() cancels every session to stop its reader, then
+                # waits for it.  One already here, waiting for its socket
+                # to close, has nothing left to stop; ending it cancelled
+                # would only make asyncio log the cancellation as an error.
                 pass
 
     def _close_channels(self, reason: str) -> None:

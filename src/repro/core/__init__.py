@@ -8,6 +8,7 @@ from .checkpoint import (
     save_detector,
     unpack_frame,
 )
+from .contract import CountBasedDetector, TimeBasedDetector
 from .gbf import GBFDetector
 from .gbf_timebased import TimeBasedGBFDetector
 from .memory_model import (
@@ -30,6 +31,8 @@ __all__ = [
     "unpack_frame",
     "register_checkpoint_kind",
     "CheckpointError",
+    "CountBasedDetector",
+    "TimeBasedDetector",
     "GBFDetector",
     "TBFDetector",
     "TBFJumpingDetector",

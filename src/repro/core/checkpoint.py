@@ -57,6 +57,7 @@ __all__ = [
     "pack_frame",
     "unpack_frame",
     "register_checkpoint_kind",
+    "register_retired_kind",
 ]
 
 _MAGIC = b"RPROCKP1"
@@ -169,6 +170,18 @@ def register_checkpoint_kind(
     global _SAVERS
     _SAVERS = [entry for entry in _SAVERS if entry[1] != kind]
     _SAVERS.append((cls, kind, save))
+    _LOADERS[kind] = load
+
+
+def register_retired_kind(
+    kind: str, load: Callable[[Dict[str, Any], bytes], Any]
+) -> None:
+    """Keep loading a ``kind`` tag that nothing saves any more.
+
+    Blobs written before a kind was folded into another one (old
+    checkpoints, serve drain blobs, cluster manifests) restore through
+    ``load``, which builds the detector class that replaced it.
+    """
     _LOADERS[kind] = load
 
 

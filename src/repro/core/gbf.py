@@ -45,10 +45,11 @@ from ..errors import ConfigurationError
 from ..hashing import HashFamily, SplitMixFamily
 from . import kernels
 from .batch import resolve_inserts
+from .contract import CountBasedDetector
 from .lanes import LanePackedBitMatrix
 
 
-class GBFDetector:
+class GBFDetector(CountBasedDetector):
     """One-pass duplicate-click detector over a count-based jumping window.
 
     Parameters
@@ -413,9 +414,9 @@ class GBFDetector:
     def checkpoint_state(self) -> bytes:
         """Serialized sketch state (invert with :func:`repro.core.load_detector`).
 
-        Part of the unified :class:`~repro.detection.api.Detector` /
-        :class:`~repro.detection.api.TimedDetector` protocol; delegates
-        to the checkpoint registry (:func:`repro.core.save_detector`).
+        Operational surface beside the
+        :class:`~repro.detection.api.Detector` contract; delegates to the
+        checkpoint registry (:func:`repro.core.save_detector`).
         """
         from .checkpoint import save_detector
 

@@ -30,10 +30,11 @@ from ..errors import ConfigurationError, StreamError
 from ..hashing import HashFamily, SplitMixFamily
 from . import kernels
 from .batch import resolve_inserts
+from .contract import TimeBasedDetector
 from .lanes import LanePackedBitMatrix
 
 
-class TimeBasedGBFDetector:
+class TimeBasedGBFDetector(TimeBasedDetector):
     """Duplicate detector over a time-based jumping window.
 
     Parameters
@@ -424,9 +425,9 @@ class TimeBasedGBFDetector:
     def checkpoint_state(self) -> bytes:
         """Serialized sketch state (invert with :func:`repro.core.load_detector`).
 
-        Part of the unified :class:`~repro.detection.api.Detector` /
-        :class:`~repro.detection.api.TimedDetector` protocol; delegates
-        to the checkpoint registry (:func:`repro.core.save_detector`).
+        Operational surface beside the
+        :class:`~repro.detection.api.Detector` contract; delegates to the
+        checkpoint registry (:func:`repro.core.save_detector`).
         """
         from .checkpoint import save_detector
 

@@ -47,6 +47,7 @@ from ..errors import ConfigurationError
 from ..hashing import HashFamily, SplitMixFamily
 from . import kernels
 from .batch import check_reads, resolve_inserts
+from .contract import CountBasedDetector
 
 
 def entry_bits_required(window_size: int, cleanup_slack: int) -> int:
@@ -67,7 +68,7 @@ def _dtype_for_bits(bits: int) -> "np.dtype":
     raise ConfigurationError(f"entries wider than 64 bits unsupported ({bits})")
 
 
-class TBFDetector:
+class TBFDetector(CountBasedDetector):
     """One-pass duplicate-click detector over a count-based sliding window.
 
     Parameters
@@ -446,9 +447,9 @@ class TBFDetector:
     def checkpoint_state(self) -> bytes:
         """Serialized sketch state (invert with :func:`repro.core.load_detector`).
 
-        Part of the unified :class:`~repro.detection.api.Detector` /
-        :class:`~repro.detection.api.TimedDetector` protocol; delegates
-        to the checkpoint registry (:func:`repro.core.save_detector`).
+        Operational surface beside the
+        :class:`~repro.detection.api.Detector` contract; delegates to the
+        checkpoint registry (:func:`repro.core.save_detector`).
         """
         from .checkpoint import save_detector
 

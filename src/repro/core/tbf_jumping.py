@@ -25,10 +25,11 @@ from ..errors import ConfigurationError
 from ..hashing import HashFamily, SplitMixFamily
 from . import kernels
 from .batch import check_reads, resolve_inserts
+from .contract import CountBasedDetector
 from .tbf import _dtype_for_bits
 
 
-class TBFJumpingDetector:
+class TBFJumpingDetector(CountBasedDetector):
     """One-pass duplicate detector over a count-based jumping window.
 
     Parameters mirror :class:`~repro.core.gbf.GBFDetector` where they
@@ -350,9 +351,9 @@ class TBFJumpingDetector:
     def checkpoint_state(self) -> bytes:
         """Serialized sketch state (invert with :func:`repro.core.load_detector`).
 
-        Part of the unified :class:`~repro.detection.api.Detector` /
-        :class:`~repro.detection.api.TimedDetector` protocol; delegates
-        to the checkpoint registry (:func:`repro.core.save_detector`).
+        Operational surface beside the
+        :class:`~repro.detection.api.Detector` contract; delegates to the
+        checkpoint registry (:func:`repro.core.save_detector`).
         """
         from .checkpoint import save_detector
 

@@ -28,10 +28,11 @@ from ..errors import ConfigurationError, StreamError
 from ..hashing import HashFamily, SplitMixFamily
 from . import kernels
 from .batch import check_reads, resolve_inserts
+from .contract import TimeBasedDetector
 from .tbf import _dtype_for_bits
 
 
-class TimeBasedTBFDetector:
+class TimeBasedTBFDetector(TimeBasedDetector):
     """Duplicate detector over a time-based sliding window of ``duration``.
 
     Parameters
@@ -477,9 +478,9 @@ class TimeBasedTBFDetector:
     def checkpoint_state(self) -> bytes:
         """Serialized sketch state (invert with :func:`repro.core.load_detector`).
 
-        Part of the unified :class:`~repro.detection.api.Detector` /
-        :class:`~repro.detection.api.TimedDetector` protocol; delegates
-        to the checkpoint registry (:func:`repro.core.save_detector`).
+        Operational surface beside the
+        :class:`~repro.detection.api.Detector` contract; delegates to the
+        checkpoint registry (:func:`repro.core.save_detector`).
         """
         from .checkpoint import save_detector
 

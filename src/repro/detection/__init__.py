@@ -1,16 +1,7 @@
 """High-level detection: unified protocol + factory, pipeline, scoring, alerting."""
 
 from .alerts import Alert, AlertEngine, AlertRule, default_rules
-from .api import (
-    Detector,
-    DetectorLifecycle,
-    LifecycleAdapter,
-    TimedAdapter,
-    TimedDetector,
-    as_lifecycle,
-    is_timed,
-    wrap_timed,
-)
+from .api import Detector, DetectorLifecycle, LifecycleAdapter, as_lifecycle
 from .coalitions import CoalitionDetector, CoalitionPair, MinHashSignature
 from .detector import (
     ALGORITHMS,
@@ -29,20 +20,11 @@ from .heavy_hitters import HeavyHitter, SkewMonitor, SpaceSaving
 from .pipeline import DetectionPipeline, PipelineResult, classify_stream
 from .quality import ClickQualityTracker, QualityConfig
 from .scoring import SourceScoreboard, SourceStats
-from .sharded import (
-    FailoverPolicy,
-    ShardedDetector,
-    TimeShardedDetector,
-    default_router,
-)
+from .sharded import FailoverPolicy, ShardedDetector, default_router
 
 __all__ = [
     # The blessed public surface: protocol + spec + factory first.
     "Detector",
-    "TimedDetector",
-    "TimedAdapter",
-    "wrap_timed",
-    "is_timed",
     "DetectorSpec",
     "WindowSpec",
     "create_detector",
@@ -62,7 +44,6 @@ __all__ = [
     "PipelineResult",
     "classify_stream",
     "ShardedDetector",
-    "TimeShardedDetector",
     "FailoverPolicy",
     "default_router",
     # Scoring, quality, alerting, coalition analysis.

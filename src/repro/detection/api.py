@@ -1,34 +1,27 @@
-"""The unified detector protocol: one API over all seven variants.
+"""The one detector contract, and the lifecycle every tier shares.
 
-Seven detector variants have grown in this library — :class:`GBFDetector`
-and :class:`TBFDetector` (count-based), their time-based twins,
-:class:`TBFJumpingDetector`, the in-process sharded detectors, and the
-multi-process parallel engines — and each grew its call surface
-organically.  This module pins the blessed surface down as two
-runtime-checkable Protocols so pipelines, servers, and supervisors can
-depend on *shape* instead of concrete classes:
+:class:`Detector` is the surface every variant answers — the core GBF /
+TBF / APBF / TLBF variants, the baselines, and the sharded, parallel,
+cluster and adaptive tiers: a ``timed`` flag plus ``observe`` and
+``observe_batch``.  Callers always pass the click's timestamp;
+count-based detectors ignore it and time-based ones require it.
+Pipelines, the network server (:mod:`repro.serve`), the parallel
+workers and the fault injectors call the contract directly, so one
+class per tier serves both time models.
 
-:class:`Detector`
-    Count-based windows: ``process`` / ``process_batch`` plus the
-    operational trio ``checkpoint_state`` / ``telemetry_snapshot`` /
-    ``memory_bits``.
-:class:`TimedDetector`
-    Time-based windows: ``process_at`` / ``process_batch_at`` plus the
-    same operational trio (the caller's clock travels with each click).
+The core variants and baselines get the contract from the two base
+classes in :mod:`repro.core.contract`, which forward to their scalar
+reference loops (``process`` / ``process_at``) and batch paths
+(``process_batch`` / ``process_batch_at``).
 
-Because half the variants take a timestamp and half do not, one more
-layer makes them interchangeable: :func:`wrap_timed` adapts *any*
-detector — either protocol, or legacy objects exposing only
-``process``/``process_at`` — into a :class:`TimedAdapter` driven through
-a single ``observe(identifier, timestamp)`` surface.  Count-based
-detectors ignore the timestamp; time-based detectors require it.  The
-:class:`~repro.detection.pipeline.DetectionPipeline` and the network
-server (:mod:`repro.serve`) both depend only on this adapter.
+:class:`DetectorLifecycle` names the four operational verbs (quiesce,
+checkpoint, migrate, resume) the supervisor, the parallel fleet, the
+cluster and the adaptive controller drive.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Protocol, runtime_checkable
+from typing import Any, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -36,10 +29,6 @@ from ..errors import ConfigurationError
 
 __all__ = [
     "Detector",
-    "TimedDetector",
-    "TimedAdapter",
-    "wrap_timed",
-    "is_timed",
     "DetectorLifecycle",
     "LifecycleAdapter",
     "as_lifecycle",
@@ -48,193 +37,34 @@ __all__ = [
 
 @runtime_checkable
 class Detector(Protocol):
-    """Count-based duplicate detector: the window advances per arrival.
+    """A duplicate detector over a count- or time-based window.
 
-    The scalar/batch pairs are bit-identical by construction: a
-    ``process_batch`` call leaves the detector in exactly the state a
-    scalar ``process`` loop over the same identifiers would, and
-    returns the same verdicts (property-tested in
-    ``tests/test_batch_equivalence.py``).
+    ``observe_batch`` is bit-identical to an ``observe`` loop over the
+    same clicks: same verdicts, same final state (property-tested in
+    ``tests/test_batch_equivalence.py`` and
+    ``tests/test_detector_api.py``).  Checkpointable detectors add
+    ``checkpoint_state()`` and ``telemetry_snapshot()`` beside it.
     """
 
-    def process(self, identifier: int) -> bool:
-        """Observe one element; ``True`` means duplicate (do not bill)."""
-        ...
-
-    def process_batch(self, identifiers: "np.ndarray") -> "np.ndarray":
-        """Vectorized :meth:`process` over a 1-D uint64 array."""
-        ...
-
-    def checkpoint_state(self) -> bytes:
-        """Serialized sketch state (``repro.core.load_detector`` inverts)."""
-        ...
-
-    def telemetry_snapshot(self) -> Dict[str, Any]:
-        """Health gauges/counters for :mod:`repro.telemetry.instruments`."""
-        ...
-
-    @property
-    def memory_bits(self) -> int:
-        """Total bits of summary-structure state."""
-        ...
-
-
-@runtime_checkable
-class TimedDetector(Protocol):
-    """Time-based duplicate detector: the caller's clock drives expiry.
-
-    Timestamps must be non-decreasing; the same scalar/batch
-    bit-identity contract as :class:`Detector` applies.
-    """
-
-    def process_at(self, identifier: int, timestamp: float) -> bool:
-        """Observe one element at ``timestamp``; ``True`` means duplicate."""
-        ...
-
-    def process_batch_at(
-        self, identifiers: "np.ndarray", timestamps: "np.ndarray"
-    ) -> "np.ndarray":
-        """Vectorized :meth:`process_at` over parallel 1-D arrays."""
-        ...
-
-    def checkpoint_state(self) -> bytes:
-        """Serialized sketch state (``repro.core.load_detector`` inverts)."""
-        ...
-
-    def telemetry_snapshot(self) -> Dict[str, Any]:
-        """Health gauges/counters for :mod:`repro.telemetry.instruments`."""
-        ...
-
-    @property
-    def memory_bits(self) -> int:
-        """Total bits of summary-structure state."""
-        ...
-
-
-def is_timed(detector: Any) -> bool:
-    """Does ``detector`` consume explicit timestamps (``process_at``)?
-
-    Count-based surfaces win when both are present (none of the library
-    variants expose both, but a custom object could).
-    """
-    if hasattr(detector, "process"):
-        return False
-    return hasattr(detector, "process_at")
-
-
-class TimedAdapter:
-    """Drive any detector through ``observe(identifier, timestamp)``.
-
-    The adapter normalizes the count-based/time-based split: callers
-    always pass the click's timestamp, and the adapter forwards it to
-    time-based detectors or drops it for count-based ones.  Verdicts are
-    exactly the wrapped detector's — the adapter holds no state beyond
-    the bound methods, so ``observe``/``observe_batch`` interleave
-    freely with native calls.
-
-    Detectors without a vectorized batch method (some baselines) get a
-    scalar fallback loop in :meth:`observe_batch`; verdicts are
-    identical either way.
-    """
-
-    __slots__ = ("base", "timed", "_scalar", "_batch")
-
-    def __init__(self, base: Any) -> None:
-        self.base = base
-        self.timed = is_timed(base)
-        if self.timed:
-            self._scalar = base.process_at
-            self._batch = getattr(base, "process_batch_at", None)
-        else:
-            self._scalar = getattr(base, "process", None)
-            self._batch = getattr(base, "process_batch", None)
-        if self._scalar is None:
-            raise ConfigurationError(
-                f"{type(base).__name__} exposes neither process() nor "
-                "process_at(); nothing to adapt"
-            )
+    #: ``True`` when the window ages by the caller's clock.
+    timed: bool
 
     def observe(self, identifier: int, timestamp: Optional[float] = None) -> bool:
-        """Observe one element; ``True`` means duplicate.
-
-        ``timestamp`` is required when the wrapped detector is
-        time-based and ignored when it is count-based.
-        """
-        if not self.timed:
-            return self._scalar(identifier)
-        if timestamp is None:
-            raise ConfigurationError(
-                f"{type(self.base).__name__} is time-based; observe() "
-                "needs a timestamp"
-            )
-        return self._scalar(identifier, timestamp)
+        """Observe one click; ``True`` means duplicate (do not bill)."""
+        ...
 
     def observe_batch(
         self,
         identifiers: "np.ndarray",
         timestamps: Optional["np.ndarray"] = None,
     ) -> "np.ndarray":
-        """Vectorized :meth:`observe` over parallel arrays."""
-        identifiers = np.asarray(identifiers, dtype=np.uint64)
-        if not self.timed:
-            if self._batch is not None:
-                return self._batch(identifiers)
-            scalar = self._scalar
-            return np.fromiter(
-                (scalar(int(identifier)) for identifier in identifiers),
-                dtype=bool,
-                count=identifiers.shape[0],
-            )
-        if timestamps is None:
-            raise ConfigurationError(
-                f"{type(self.base).__name__} is time-based; observe_batch() "
-                "needs timestamps"
-            )
-        timestamps = np.asarray(timestamps, dtype=np.float64)
-        if self._batch is not None:
-            return self._batch(identifiers, timestamps)
-        scalar = self._scalar
-        return np.fromiter(
-            (
-                scalar(int(identifier), float(timestamp))
-                for identifier, timestamp in zip(identifiers, timestamps)
-            ),
-            dtype=bool,
-            count=identifiers.shape[0],
-        )
-
-    def checkpoint_state(self) -> bytes:
-        """The wrapped detector's serialized state."""
-        method = getattr(self.base, "checkpoint_state", None)
-        if method is not None:
-            return method()
-        from ..core.checkpoint import save_detector
-
-        return save_detector(self.base)
-
-    def telemetry_snapshot(self) -> Dict[str, Any]:
-        """The wrapped detector's snapshot (``{}`` when it has none)."""
-        method = getattr(self.base, "telemetry_snapshot", None)
-        return method() if method is not None else {}
+        """Verdicts for parallel 1-D uint64 / float64 arrays."""
+        ...
 
     @property
     def memory_bits(self) -> int:
-        return self.base.memory_bits
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        kind = "timed" if self.timed else "counted"
-        return f"TimedAdapter({type(self.base).__name__}, {kind})"
-
-
-def wrap_timed(detector: Any) -> TimedAdapter:
-    """Adapt ``detector`` to the unified ``observe`` surface.
-
-    Idempotent: an adapter passes through unchanged, so pipelines can
-    wrap unconditionally.
-    """
-    if isinstance(detector, TimedAdapter):
-        return detector
-    return TimedAdapter(detector)
+        """Total bits of summary-structure state."""
+        ...
 
 
 @runtime_checkable

@@ -4,8 +4,7 @@ One factory, every algorithm in the library, with auto-sizing: describe
 the detector you need as a :class:`DetectorSpec` — window shape plus
 either explicit filter parameters or a memory budget / FP target — and
 :func:`create_detector` returns a ready detector satisfying the
-:class:`~repro.detection.api.Detector` /
-:class:`~repro.detection.api.TimedDetector` protocol.
+:class:`~repro.detection.api.Detector` contract.
 
 The spec covers all seven runtime variants from one surface::
 
@@ -24,17 +23,11 @@ For time-based algorithms (``gbf-time`` / ``tbf-time``) the window spec
 sizes the sketch — ``window.size`` is the expected number of arrivals
 per window — while ``duration`` sets the wall-clock window length the
 detector actually enforces.
-
-The pre-spec calling convention ``create_detector(algorithm, window,
-memory_bits=..., ...)`` still works but is deprecated: it emits a
-:class:`DeprecationWarning` and forwards to the spec path.  See the
-README migration note.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..analysis.sizing import (
@@ -293,32 +286,22 @@ class DetectorSpec:
                 )
 
 
-def create_detector(spec, window: Optional[WindowSpec] = None, **kwargs):
+def create_detector(spec: DetectorSpec, *extra, **options):
     """Build the detector a :class:`DetectorSpec` describes.
 
-    The blessed call shape is ``create_detector(spec)``.  The legacy
-    shape ``create_detector(algorithm, window, memory_bits=...,
-    target_fp=..., num_hashes=..., seed=...)`` is deprecated — it warns
-    and forwards to the spec path, building the identical detector.
+    Every setting lives in the spec; anything else is refused.
     """
-    if isinstance(spec, DetectorSpec):
-        if window is not None or kwargs:
-            raise ConfigurationError(
-                "create_detector(DetectorSpec) takes no extra arguments; "
-                "put them in the spec"
-            )
-        return _build(spec)
-    warnings.warn(
-        "create_detector(algorithm, window, **kwargs) is deprecated; "
-        "pass a DetectorSpec instead: "
-        "create_detector(DetectorSpec(algorithm, window, ...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build(DetectorSpec(spec, window, **kwargs))
+    if not isinstance(spec, DetectorSpec) or extra or options:
+        raise ConfigurationError(
+            "create_detector takes one DetectorSpec and nothing else; put "
+            "every setting in the spec"
+        )
+    return _build(spec)
 
 
 def _build(spec: DetectorSpec):
+    if spec.shards > 1 or spec.engine == "parallel":
+        return _sharded(spec)
     window = spec.window
     algorithm = spec.algorithm
     if algorithm == "exact":
@@ -351,8 +334,6 @@ def _build(spec: DetectorSpec):
         _require(window, "sliding", algorithm)
         plan = _tbf_plan(spec)
         k = spec.num_hashes or plan.num_hashes
-        if spec.shards > 1 or spec.engine == "parallel":
-            return _sharded_tbf(spec, plan.num_entries, k)
         return TBFDetector(
             window.size,
             plan.num_entries,
@@ -365,8 +346,6 @@ def _build(spec: DetectorSpec):
         _require(window, "sliding", algorithm)
         plan = _tbf_plan(spec)
         k = spec.num_hashes or plan.num_hashes
-        if spec.shards > 1 or spec.engine == "parallel":
-            return _sharded_tbf_time(spec, plan.num_entries, k)
         return TimeBasedTBFDetector(
             spec.duration,
             spec.resolution,
@@ -385,8 +364,6 @@ def _build(spec: DetectorSpec):
         plan = _apbf_plan(spec)
         from ..adaptive.filters import AgePartitionedBFDetector
 
-        if spec.shards > 1 or spec.engine == "parallel":
-            return _sharded_sliced(spec, plan)
         return AgePartitionedBFDetector(
             plan.num_required,
             plan.num_aged,
@@ -400,8 +377,6 @@ def _build(spec: DetectorSpec):
         plan = _tlbf_plan(spec)
         from ..adaptive.filters import TimeLimitedBFDetector
 
-        if spec.shards > 1 or spec.engine == "parallel":
-            return _sharded_sliced(spec, plan)
         return TimeLimitedBFDetector(
             spec.duration,
             plan.num_required,
@@ -541,77 +516,54 @@ def _tlbf_plan(spec: DetectorSpec):
     return plan_tlbf_for_target(spec.window.size, spec.resolution, spec.target_fp)
 
 
-def _sharded_tbf(spec: DetectorSpec, total_entries: int, num_hashes: int):
-    """Count-based sharded/parallel TBF from one spec (memory split evenly)."""
+def _sharded(spec: DetectorSpec):
+    """Hash-partition ``spec`` into ``spec.shards`` detectors.
+
+    Every shard is built from one exact-params spec seeded
+    ``spec.seed + shard``.  Memory splits evenly — TBF entries, slice
+    bits and the APBF generation size — and so does a count window;
+    time-based shards keep the full duration.  With
+    ``engine="parallel"`` each shard runs in its own worker process.
+    """
+    n = spec.shards
+    if spec.algorithm in ("tbf", "tbf-time"):
+        plan = _tbf_plan(spec)
+        params = TBFParams(
+            max(1, plan.num_entries // n), spec.num_hashes or plan.num_hashes
+        )
+    elif spec.algorithm == "apbf":
+        plan = _apbf_plan(spec)
+        params = APBFParams(
+            plan.num_required,
+            plan.num_aged,
+            max(1, plan.slice_bits // n),
+            max(1, plan.generation_size // n),
+        )
+    else:
+        plan = _tlbf_plan(spec)
+        params = TLBFParams(
+            plan.num_required, plan.num_aged, max(1, plan.slice_bits // n)
+        )
+    window = spec.window
+    local = replace(
+        spec,
+        window=WindowSpec(window.kind, max(1, window.size // n)),
+        memory_bits=None,
+        target_fp=None,
+        num_hashes=None,
+        shards=1,
+        engine="inline",
+        params=params,
+    )
+    from .sharded import ShardedDetector
+
+    base = ShardedDetector(
+        [_build(replace(local, seed=spec.seed + shard)) for shard in range(n)]
+    )
     if spec.engine == "parallel":
         from ..parallel import ParallelShardedDetector
 
-        return ParallelShardedDetector._of_tbf(
-            spec.window.size, spec.shards, total_entries, num_hashes, seed=spec.seed
-        )
-    from .sharded import ShardedDetector
-
-    return ShardedDetector._of_tbf(
-        spec.window.size, spec.shards, total_entries, num_hashes, seed=spec.seed
-    )
-
-
-def _sharded_tbf_time(spec: DetectorSpec, total_entries: int, num_hashes: int):
-    """Time-based sharded/parallel TBF (exact window semantics per shard)."""
-    if spec.engine == "parallel":
-        from ..parallel import ParallelTimeShardedDetector
-
-        return ParallelTimeShardedDetector._of_tbf(
-            spec.duration, spec.resolution, spec.shards, total_entries,
-            num_hashes, seed=spec.seed,
-        )
-    from .sharded import TimeShardedDetector
-
-    return TimeShardedDetector._of_tbf(
-        spec.duration, spec.resolution, spec.shards, total_entries,
-        num_hashes, seed=spec.seed,
-    )
-
-
-def _sharded_sliced(spec: DetectorSpec, plan):
-    """Sharded/parallel sliced filter (APBF / time-limited BF).
-
-    The plan carries totals; each shard gets an even split of the slice
-    bits (and, for the APBF, of the generation size) with per-shard
-    seeds, mirroring the TBF convention.
-    """
-    from ..adaptive.filters import AgePartitionedBFDetector, TimeLimitedBFDetector
-    from .sharded import ShardedDetector, TimeShardedDetector
-
-    n = spec.shards
-    slice_bits = max(1, plan.slice_bits // n)
-    if spec.algorithm == "apbf":
-        generation = max(1, plan.generation_size // n)
-        shards = [
-            AgePartitionedBFDetector(
-                plan.num_required, plan.num_aged, slice_bits, generation,
-                seed=spec.seed + shard,
-            )
-            for shard in range(n)
-        ]
-        base = ShardedDetector(shards)
-    else:
-        shards = [
-            TimeLimitedBFDetector(
-                spec.duration, plan.num_required, plan.num_aged, slice_bits,
-                seed=spec.seed + shard,
-            )
-            for shard in range(n)
-        ]
-        base = TimeShardedDetector(shards)
-    if spec.engine == "parallel":
-        if spec.algorithm == "apbf":
-            from ..parallel import ParallelShardedDetector
-
-            return ParallelShardedDetector(base)
-        from ..parallel import ParallelTimeShardedDetector
-
-        return ParallelTimeShardedDetector(base)
+        return ParallelShardedDetector(base)
     return base
 
 

@@ -19,7 +19,6 @@ from ..adnet.billing import BillingEngine
 from ..errors import BudgetError, ConfigurationError
 from ..streams.click import Click, DEFAULT_SCHEME, IdentifierScheme
 from ..telemetry import TelemetrySession
-from .api import wrap_timed
 from .scoring import SourceScoreboard
 
 
@@ -45,9 +44,8 @@ class DetectionPipeline:
     Parameters
     ----------
     detector:
-        Any object with ``process(identifier) -> bool`` (count-based) or
-        ``process_at(identifier, timestamp) -> bool`` (time-based; the
-        click's timestamp drives the window clock).
+        Any :class:`~repro.detection.api.Detector`; the click's
+        timestamp drives the window clock of time-based ones.
     billing:
         Optional :class:`~repro.adnet.billing.BillingEngine`; without
         it the pipeline only classifies (the auditing-side use case).
@@ -92,17 +90,14 @@ class DetectionPipeline:
         self.set_detector(detector)
 
     def set_detector(self, detector) -> None:
-        """Swap in a (restored) detector, rebinding the verdict dispatch.
+        """Swap in a (restored) detector.
 
-        The pipeline talks to the detector exclusively through the
-        unified protocol adapter (:func:`repro.detection.api.wrap_timed`),
-        so any :class:`~repro.detection.api.Detector` /
-        :class:`~repro.detection.api.TimedDetector` — or legacy object
-        with just ``process``/``process_at`` — plugs in.
+        The pipeline talks to the detector only through the
+        :class:`~repro.detection.api.Detector` contract
+        (``observe`` / ``observe_batch``).
         """
         self.detector = detector
-        self._observer = wrap_timed(detector)
-        self._classify = self._observer.observe
+        self._classify = detector.observe
         if self.telemetry.enabled:
             # Re-instrument so gauges track the detector now in service;
             # registry counters keep their running totals (the new
@@ -139,8 +134,8 @@ class DetectionPipeline:
     def run(self, clicks: Iterable[Click]) -> PipelineResult:
         """Process a whole stream, tolerating exhausted budgets."""
         result = PipelineResult(scoreboard=self.scoreboard)
-        # The verdict dispatch is bound once (set_detector), not
-        # re-wrapped per click; hoist the remaining lookups too.
+        # The verdict dispatch is bound once (set_detector); hoist the
+        # remaining lookups too.
         process_click = self.process_click
         with self.telemetry.tracer.span("pipeline.run") as span:
             for click in clicks:
@@ -175,17 +170,15 @@ class DetectionPipeline:
         """Process a stream through the detector's vectorized batch path.
 
         Clicks are consumed in chunks of ``chunk_size``; each chunk's
-        identifiers are hashed and classified with one
-        ``process_batch`` / ``process_batch_at`` call, then scoring and
-        billing settle per click (billing raises per click, so budget
-        accounting matches :meth:`run` exactly).  Detectors without a
-        batch path fall back to the bound scalar classifier — results
-        are identical either way, batch verdicts being bit-identical by
+        identifiers are hashed and classified with one ``observe_batch``
+        call, then scoring and billing settle per click (billing raises
+        per click, so budget accounting matches :meth:`run` exactly).
+        Batch verdicts are bit-identical to :meth:`run`'s by
         construction.
 
         With ``workers=N`` the detector (which must be a
-        ``ShardedDetector`` / ``TimeShardedDetector`` with ``N`` shards,
-        or an already-parallel engine) is lifted into a multi-process
+        ``ShardedDetector`` with ``N`` shards, or an already-parallel
+        engine) is lifted into a multi-process
         engine for the duration of the run: each shard executes in its
         own worker process fed through shared-memory rings.  Afterwards
         the workers' final state is written back into the original
@@ -214,8 +207,8 @@ class DetectionPipeline:
         if chunk_size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
         result = PipelineResult(scoreboard=self.scoreboard)
-        observer = self._observer
-        timed = observer.timed
+        observe_batch = self.detector.observe_batch
+        timed = self.detector.timed
         identify = self.scheme.identify
         scoreboard = self.scoreboard
         billing = self.billing
@@ -244,7 +237,7 @@ class DetectionPipeline:
                     if timed
                     else None
                 )
-                verdicts = observer.observe_batch(identifiers, timestamps)
+                verdicts = observe_batch(identifiers, timestamps)
             for click, verdict in zip(chunk, verdicts):
                 duplicate = bool(verdict)
                 result.processed += 1
@@ -285,7 +278,7 @@ class DetectionPipeline:
         timestamp)`` pairs — the identifier scheme runs client-side, as
         the paper assumes ("each click has a predefined identifier") —
         so this path skips :class:`Click` materialization entirely and
-        drives the detector through the same protocol adapter as
+        drives the detector through the same ``observe_batch`` as
         :meth:`run_batch`.  Verdicts are bit-identical to
         :meth:`run_batch` over clicks projecting to the same
         identifiers, because detector state depends only on
@@ -305,7 +298,7 @@ class DetectionPipeline:
             "pipeline.run_identified_batch", size=int(len(identifiers))
         ):
             verdicts = np.asarray(
-                self._observer.observe_batch(identifiers, timestamps), dtype=bool
+                self.detector.observe_batch(identifiers, timestamps), dtype=bool
             )
         processed = int(verdicts.shape[0])
         duplicates = int(np.count_nonzero(verdicts))
@@ -321,5 +314,5 @@ def classify_stream(
 ) -> List[bool]:
     """Bare classification: the detector's verdict per click, in order."""
     identify = scheme.identify
-    observe = wrap_timed(detector).observe
+    observe = detector.observe
     return [observe(identify(click), click.timestamp) for click in clicks]

@@ -33,7 +33,6 @@ rather than decided silently.
 from __future__ import annotations
 
 import enum
-import warnings
 from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
@@ -43,9 +42,11 @@ from ..core.checkpoint import (
     load_detector,
     pack_frame,
     register_checkpoint_kind,
+    register_retired_kind,
     save_detector,
     unpack_frame,
 )
+from ..core.contract import batch_arrays, require_timestamps
 from ..errors import ConfigurationError
 from ..hashing.family import _splitmix64, splitmix64_batch
 
@@ -76,7 +77,7 @@ def route_batch(
     With ``router=None`` the numpy path replays :func:`default_router`
     exactly (:func:`~repro.hashing.family.splitmix64_batch` is
     bit-identical to the scalar finalizer); custom routers fall back to
-    a Python loop.  Shared by the in-process sharded detectors and the
+    a Python loop.  Shared by the in-process sharded detector and the
     multi-process router in :mod:`repro.parallel`.
     """
     if router is None:
@@ -128,7 +129,7 @@ class FailoverPolicy(enum.Enum):
 
 
 class _ShardFailover:
-    """Degraded-shard bookkeeping shared by both sharded detectors."""
+    """Degraded-shard bookkeeping of :class:`ShardedDetector`."""
 
     shards: List
 
@@ -169,9 +170,9 @@ class _ShardFailover:
     def checkpoint_state(self) -> bytes:
         """Serialized fleet state (invert with :func:`repro.core.load_detector`).
 
-        Part of the unified :class:`~repro.detection.api.Detector` /
-        :class:`~repro.detection.api.TimedDetector` protocol; the blob
-        holds every shard's frame plus the degraded-shard map.
+        Operational surface beside the
+        :class:`~repro.detection.api.Detector` contract; the blob holds
+        every shard's frame plus the degraded-shard map.
         """
         return save_detector(self)
 
@@ -286,14 +287,16 @@ class _ShardFailover:
 
 
 class ShardedDetector(_ShardFailover):
-    """Count-based sharded duplicate detector.
+    """Hash-partitioned duplicate detector over either time model.
 
     Parameters
     ----------
     shards:
-        One detector per worker, each configured with a window of
-        ``global_window / len(shards)``.  Build them with
-        :meth:`ShardedDetector.of_tbf` for the common case.
+        One detector per worker, all count-based or all time-based
+        (``timed`` follows them).  Count-based shards each run a window
+        of ``global_window / len(shards)``; time-based shards run the
+        full duration.  ``create_detector(DetectorSpec(..., shards=N))``
+        builds the common configurations.
     router:
         Identifier -> shard index; defaults to :func:`default_router`.
     """
@@ -306,77 +309,35 @@ class ShardedDetector(_ShardFailover):
         if not shards:
             raise ConfigurationError("need at least one shard")
         self.shards = list(shards)
+        self.timed = shards_time_model(self.shards)
         self._router_is_default = router is None
         self.router = router or default_router(len(shards))
         self._per_shard_arrivals = [0] * len(shards)
         self._init_failover()
 
-    @classmethod
-    def of_tbf(
-        cls,
-        global_window: int,
-        num_shards: int,
-        total_entries: int,
-        num_hashes: int = 10,
-        seed: int = 0,
-    ) -> "ShardedDetector":
-        """``num_shards`` TBFs, splitting window and memory evenly.
-
-        Deprecated: build through :func:`repro.detection.create_detector`
-        with a sharded :class:`~repro.detection.DetectorSpec` instead —
-        the spec surface covers every variant and round-trips via
-        ``spec()``.
-        """
-        warnings.warn(
-            "ShardedDetector.of_tbf is deprecated; build through "
-            "create_detector(DetectorSpec('tbf', ..., shards=N))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls._of_tbf(
-            global_window, num_shards, total_entries, num_hashes, seed=seed
-        )
-
-    @classmethod
-    def _of_tbf(
-        cls,
-        global_window: int,
-        num_shards: int,
-        total_entries: int,
-        num_hashes: int = 10,
-        seed: int = 0,
-    ) -> "ShardedDetector":
-        from ..core import TBFDetector
-
-        if num_shards < 1:
-            raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-        local_window = max(1, global_window // num_shards)
-        local_entries = max(1, total_entries // num_shards)
-        shards = [
-            TBFDetector(local_window, local_entries, num_hashes, seed=seed + shard)
-            for shard in range(num_shards)
-        ]
-        return cls(shards)
-
-    def process(self, identifier: int) -> bool:
+    def observe(self, identifier: int, timestamp: Optional[float] = None) -> bool:
+        if self.timed:
+            require_timestamps(self, timestamp, "observe")
         shard = self.router(identifier)
         self._per_shard_arrivals[shard] += 1
         verdict = self._degraded_verdict(shard)
         if verdict is not None:
             return verdict
-        return self.shards[shard].process(identifier)
+        return self.shards[shard].observe(identifier, timestamp)
 
-    def process_batch(self, identifiers: "np.ndarray") -> "np.ndarray":
-        """Process a batch, partitioned across shards with one argsort.
+    def observe_batch(self, identifiers, timestamps=None) -> "np.ndarray":
+        """Observe a batch, partitioned across shards with one argsort.
 
         Verdicts, per-shard state, arrival counts, and degraded-click
-        tallies are identical to a scalar :meth:`process` loop: every
-        shard receives its clicks in arrival order, and degraded shards
-        answer by policy without touching their (lost) sketch.
+        tallies are identical to an :meth:`observe` loop: every shard
+        receives its clicks in arrival order, and degraded shards
+        answer by policy without touching their (lost) sketch.  For
+        time-based shards a regressing timestamp raises from the owning
+        shard; unlike the scalar loop, sibling shards may have advanced
+        past it by then — keep streams time-ordered, as the window
+        semantics require.
         """
-        identifiers = np.asarray(identifiers, dtype=np.uint64)
-        if identifiers.ndim != 1:
-            raise ValueError(f"identifiers must be 1-D, got {identifiers.ndim}-D")
+        identifiers, timestamps = batch_arrays(self, identifiers, timestamps)
         out = np.empty(identifiers.shape[0], dtype=bool)
         if identifiers.shape[0] == 0:
             return out
@@ -388,15 +349,10 @@ class ShardedDetector(_ShardFailover):
                 entry["clicks"] = int(entry["clicks"]) + count
                 out[positions] = entry["policy"] is FailoverPolicy.FAIL_CLOSED
                 continue
-            detector = self.shards[shard]
-            batch = getattr(detector, "process_batch", None)
-            if batch is not None:
-                out[positions] = batch(identifiers[positions])
-            else:
-                process = detector.process
-                out[positions] = [
-                    process(int(identifier)) for identifier in identifiers[positions]
-                ]
+            out[positions] = self.shards[shard].observe_batch(
+                identifiers[positions],
+                None if timestamps is None else timestamps[positions],
+            )
         return out
 
     def query(self, identifier: int) -> bool:
@@ -441,142 +397,19 @@ class ShardedDetector(_ShardFailover):
         return _combined_spec(self)
 
 
-class TimeShardedDetector(_ShardFailover):
-    """Time-based sharded duplicate detector (exact window semantics).
+def shards_time_model(shards) -> bool:
+    """The ``timed`` flag a set of shards shares.
 
-    Every shard runs a :class:`~repro.core.TimeBasedTBFDetector` over
-    the *full* window duration; the global clock travels with each
-    click, so sharding preserves the single-detector semantics exactly
-    (up to the shared unit granularity).
+    Raises :class:`ConfigurationError` when count-based and time-based
+    shards are mixed: one fleet answers one contract.
     """
-
-    def __init__(
-        self,
-        shards: List,
-        router: Optional[Callable[[int], int]] = None,
-    ) -> None:
-        if not shards:
-            raise ConfigurationError("need at least one shard")
-        self.shards = list(shards)
-        self._router_is_default = router is None
-        self.router = router or default_router(len(shards))
-        self._init_failover()
-
-    @classmethod
-    def of_tbf(
-        cls,
-        duration: float,
-        resolution: int,
-        num_shards: int,
-        total_entries: int,
-        num_hashes: int = 10,
-        seed: int = 0,
-    ) -> "TimeShardedDetector":
-        """Deprecated: build through :func:`repro.detection.create_detector`
-        with a sharded time-based :class:`~repro.detection.DetectorSpec`."""
-        warnings.warn(
-            "TimeShardedDetector.of_tbf is deprecated; build through "
-            "create_detector(DetectorSpec('tbf-time', ..., shards=N))",
-            DeprecationWarning,
-            stacklevel=2,
+    models = {bool(shard.timed) for shard in shards}
+    if len(models) > 1:
+        raise ConfigurationError(
+            "shards mix count-based and time-based detectors; one fleet "
+            "runs one time model"
         )
-        return cls._of_tbf(
-            duration, resolution, num_shards, total_entries, num_hashes, seed=seed
-        )
-
-    @classmethod
-    def _of_tbf(
-        cls,
-        duration: float,
-        resolution: int,
-        num_shards: int,
-        total_entries: int,
-        num_hashes: int = 10,
-        seed: int = 0,
-    ) -> "TimeShardedDetector":
-        from ..core import TimeBasedTBFDetector
-
-        if num_shards < 1:
-            raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-        local_entries = max(1, total_entries // num_shards)
-        shards = [
-            TimeBasedTBFDetector(
-                duration, resolution, local_entries, num_hashes, seed=seed + shard
-            )
-            for shard in range(num_shards)
-        ]
-        return cls(shards)
-
-    def process_at(self, identifier: int, timestamp: float) -> bool:
-        shard = self.router(identifier)
-        verdict = self._degraded_verdict(shard)
-        if verdict is not None:
-            return verdict
-        return self.shards[shard].process_at(identifier, timestamp)
-
-    def process_batch_at(
-        self, identifiers: "np.ndarray", timestamps: "np.ndarray"
-    ) -> "np.ndarray":
-        """Batch variant of :meth:`process_at` (one argsort partition).
-
-        Equivalent to the scalar loop for non-decreasing timestamps
-        (each shard sees its subsequence in arrival order).  A
-        regressing timestamp raises from the owning shard; unlike the
-        scalar loop, sibling shards may have advanced past it by then —
-        keep streams time-ordered, as the window semantics require.
-        """
-        identifiers = np.asarray(identifiers, dtype=np.uint64)
-        timestamps = np.asarray(timestamps, dtype=np.float64)
-        if identifiers.ndim != 1:
-            raise ValueError(f"identifiers must be 1-D, got {identifiers.ndim}-D")
-        if timestamps.shape != identifiers.shape:
-            raise ValueError(
-                f"timestamps shape {timestamps.shape} != identifiers "
-                f"shape {identifiers.shape}"
-            )
-        out = np.empty(identifiers.shape[0], dtype=bool)
-        if identifiers.shape[0] == 0:
-            return out
-        for shard, positions in shard_groups(_route_batch(self, identifiers)):
-            entry = self._degraded.get(shard)
-            if entry is not None:
-                entry["clicks"] = int(entry["clicks"]) + int(positions.shape[0])
-                out[positions] = entry["policy"] is FailoverPolicy.FAIL_CLOSED
-                continue
-            detector = self.shards[shard]
-            batch = getattr(detector, "process_batch_at", None)
-            if batch is not None:
-                out[positions] = batch(identifiers[positions], timestamps[positions])
-            else:
-                process_at = detector.process_at
-                out[positions] = [
-                    process_at(int(identifier), float(timestamp))
-                    for identifier, timestamp in zip(
-                        identifiers[positions], timestamps[positions]
-                    )
-                ]
-        return out
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-    @property
-    def memory_bits(self) -> int:
-        return sum(shard.memory_bits for shard in self.shards)
-
-    def telemetry_snapshot(self) -> Dict[str, object]:
-        """Fleet health metrics for :mod:`repro.telemetry.instruments`."""
-        return self._aggregate_telemetry()
-
-    def spec(self):
-        """One :class:`~repro.detection.DetectorSpec` rebuilding the fleet.
-
-        Requires a homogeneous fleet (same shard configuration with
-        sequential per-shard seeds) behind the default router — exactly
-        what the spec path builds.
-        """
-        return _combined_spec(self)
+    return models.pop()
 
 
 def _combined_spec(detector):
@@ -685,6 +518,9 @@ def _load_sharded(header: Dict[str, object], payload: bytes) -> ShardedDetector:
     blobs = _split_shard_blobs(header, payload)
     detector = ShardedDetector([load_detector(blob) for blob in blobs])
     arrivals = header.get("per_shard_arrivals")
+    if header.get("kind") == "time-sharded":
+        # The retired time-based kind kept no arrival counts.
+        arrivals = [0] * len(blobs)
     if not isinstance(arrivals, list) or len(arrivals) != len(blobs):
         raise CheckpointError("sharded checkpoint arrivals do not match shards")
     detector._per_shard_arrivals = [int(count) for count in arrivals]
@@ -692,21 +528,9 @@ def _load_sharded(header: Dict[str, object], payload: bytes) -> ShardedDetector:
     return detector
 
 
-def _save_time_sharded(detector: TimeShardedDetector) -> bytes:
-    return _save_shards(detector, "time-sharded", {})
-
-
-def _load_time_sharded(header: Dict[str, object], payload: bytes) -> TimeShardedDetector:
-    blobs = _split_shard_blobs(header, payload)
-    detector = TimeShardedDetector([load_detector(blob) for blob in blobs])
-    detector._restore_failover(header.get("degraded", {}))
-    return detector
-
-
 register_checkpoint_kind("sharded", ShardedDetector, _save_sharded, _load_sharded)
-register_checkpoint_kind(
-    "time-sharded", TimeShardedDetector, _save_time_sharded, _load_time_sharded
-)
+# Load-only alias: time-based fleets saved before the count/time collapse.
+register_retired_kind("time-sharded", _load_sharded)
 
 # unpack_frame is re-exported for tools that inspect shard blobs directly.
 __all__ = [
@@ -715,6 +539,6 @@ __all__ = [
     "shard_groups",
     "FailoverPolicy",
     "ShardedDetector",
-    "TimeShardedDetector",
+    "shards_time_model",
     "unpack_frame",
 ]

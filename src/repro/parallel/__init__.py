@@ -7,27 +7,21 @@ The package splits into three layers:
 * :mod:`repro.parallel.worker` — the worker-process main loop serving
   one shard from its rings (pre-hashed probes, checkpoint/telemetry
   control commands).
-* :mod:`repro.parallel.engine` — the router-side engines
-  (:class:`ParallelShardedDetector` / :class:`ParallelTimeShardedDetector`)
-  with bit-identical semantics to the single-process sharded detectors,
-  journaled respawn-from-checkpoint on worker death, and two-phase
-  fleet checkpoints.
+* :mod:`repro.parallel.engine` — the router-side engine
+  (:class:`ParallelShardedDetector`) with bit-identical semantics to the
+  single-process sharded detector, journaled respawn-from-checkpoint on
+  worker death, and two-phase fleet checkpoints.
 
-Importing this package registers the ``parallel-sharded`` and
-``parallel-time-sharded`` checkpoint kinds.
+Importing this package registers the ``parallel-sharded`` checkpoint
+kind (and loads blobs of the retired ``parallel-time-sharded`` kind).
 """
 
-from .engine import (
-    ParallelShardedDetector,
-    ParallelTimeShardedDetector,
-    lift_sharded,
-)
+from .engine import ParallelShardedDetector, lift_sharded
 from .ring import BatchRing, RingSpec
 
 __all__ = [
     "BatchRing",
     "RingSpec",
     "ParallelShardedDetector",
-    "ParallelTimeShardedDetector",
     "lift_sharded",
 ]

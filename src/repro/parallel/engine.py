@@ -39,17 +39,17 @@ pushes a checkpoint command down every healthy worker's request ring
 answers — the ring is the quiescence barrier) and gathers the per-shard
 blobs; phase 2 commits one manifest frame holding the blobs plus the
 router's own state (arrival counts, degraded map, engine options).  The
-manifest registers as checkpoint kinds ``parallel-sharded`` /
-``parallel-time-sharded``, so :class:`~repro.resilience.SupervisedPipeline`
-journals a parallel deployment exactly like a single detector — and a
-restore *respawns the fleet* from the manifest.
+manifest registers as checkpoint kind ``parallel-sharded`` (blobs of the
+retired ``parallel-time-sharded`` kind still load), so
+:class:`~repro.resilience.SupervisedPipeline` journals a parallel
+deployment exactly like a single detector — and a restore *respawns the
+fleet* from the manifest.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-import warnings
 from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
@@ -58,13 +58,14 @@ from ..core.checkpoint import (
     load_detector,
     pack_frame,
     register_checkpoint_kind,
+    register_retired_kind,
     save_detector,
 )
+from ..core.contract import batch_arrays, require_timestamps
 from ..errors import CheckpointError, ConfigurationError, ParallelError
 from ..detection.sharded import (
     FailoverPolicy,
     ShardedDetector,
-    TimeShardedDetector,
     _split_shard_blobs,
     route_batch,
     shard_groups,
@@ -88,7 +89,6 @@ from .worker import (
 
 __all__ = [
     "ParallelShardedDetector",
-    "ParallelTimeShardedDetector",
     "lift_sharded",
 ]
 
@@ -137,8 +137,14 @@ class _WorkerState:
         self.respawns = 0
 
 
-class _ParallelEngine:
-    """Shared machinery for both parallel engines (count- and time-based).
+class ParallelShardedDetector:
+    """Sharded detection across worker processes, for either time model.
+
+    Drop-in for :class:`~repro.detection.sharded.ShardedDetector` on the
+    detector contract (``timed`` / ``observe`` / ``observe_batch``),
+    with bit-identical verdicts, checkpoint states, and summed op
+    counts.  Time-based fleets keep exact window semantics: the global
+    clock travels with every batch.
 
     Parameters
     ----------
@@ -175,9 +181,6 @@ class _ParallelEngine:
         fleet traces only if its restorer asks for it.
     """
 
-    _time_based = False
-    _checkpoint_kind = "parallel-sharded"
-
     def __init__(
         self,
         base,
@@ -192,10 +195,9 @@ class _ParallelEngine:
         worker_timeout: float = 60.0,
         trace_dir: Optional[str] = None,
     ) -> None:
-        expected = TimeShardedDetector if self._time_based else ShardedDetector
-        if type(base) is not expected:
+        if type(base) is not ShardedDetector:
             raise ConfigurationError(
-                f"{type(self).__name__} wraps a {expected.__name__}, "
+                f"{type(self).__name__} wraps a ShardedDetector, "
                 f"got {type(base).__name__}"
             )
         if not base._router_is_default:
@@ -214,6 +216,7 @@ class _ParallelEngine:
                 f"checkpoint_every_items must be >= 0, got {checkpoint_every_items}"
             )
         self.base = base
+        self.timed = base.timed
         self.start_method = start_method
         self.slots = slots
         self.slot_items = slot_items
@@ -236,7 +239,7 @@ class _ParallelEngine:
         self._bytes_per_item = []
         for shard in base.shards:
             family = getattr(shard, "family", None)
-            if self._time_based:
+            if self.timed:
                 op, width = OP_IDS_TS, 16
             elif family is not None and hasattr(shard, "process_indices_batch"):
                 op, width = OP_INDICES, 8 * family.num_hashes
@@ -251,9 +254,7 @@ class _ParallelEngine:
             shard: {"policy": entry["policy"], "clicks": int(entry["clicks"])}
             for shard, entry in base._degraded.items()
         }
-        self._per_shard_arrivals = (
-            list(base._per_shard_arrivals) if not self._time_based else None
-        )
+        self._per_shard_arrivals = list(base._per_shard_arrivals)
         self.worker_deaths = 0
         self.worker_respawns = 0
         self._death_counter = None
@@ -616,8 +617,7 @@ class _ParallelEngine:
         pending = []
         for shard, positions in shard_groups(shard_of):
             count = int(positions.shape[0])
-            if self._per_shard_arrivals is not None:
-                self._per_shard_arrivals[shard] += count
+            self._per_shard_arrivals[shard] += count
             entry = self._degraded.get(shard)
             if entry is not None:
                 entry["clicks"] = int(entry["clicks"]) + count
@@ -650,6 +650,39 @@ class _ParallelEngine:
         return out
 
     # ------------------------------------------------------------------
+    # The detector contract
+    # ------------------------------------------------------------------
+
+    def observe(self, identifier: int, timestamp: Optional[float] = None) -> bool:
+        """One click (one ring round-trip — prefer :meth:`observe_batch`
+        on the hot path)."""
+        if self.timed:
+            require_timestamps(self, timestamp, "observe")
+        shard = self.base.router(identifier)
+        self._per_shard_arrivals[shard] += 1
+        entry = self._degraded.get(shard)
+        if entry is not None:
+            entry["clicks"] = int(entry["clicks"]) + 1
+            return entry["policy"] is FailoverPolicy.FAIL_CLOSED
+        ids = np.asarray([identifier], dtype=np.uint64)
+        timestamps = (
+            np.asarray([timestamp], dtype=np.float64) if self.timed else None
+        )
+        return bool(self._shard_batch(shard, ids, timestamps)[0])
+
+    def observe_batch(self, identifiers, timestamps=None) -> np.ndarray:
+        return self._process_grouped(*batch_arrays(self, identifiers, timestamps))
+
+    def load_imbalance(self) -> float:
+        total = sum(self._per_shard_arrivals)
+        if total == 0:
+            return 1.0
+        return max(self._per_shard_arrivals) / (total / len(self._workers))
+
+    def shard_arrivals(self) -> List[int]:
+        return list(self._per_shard_arrivals)
+
+    # ------------------------------------------------------------------
     # Checkpointing (two-phase) and state sync
     # ------------------------------------------------------------------
 
@@ -674,7 +707,7 @@ class _ParallelEngine:
     def quiesce(self) -> None:
         """Drain every ring: collect any outstanding verdict batches.
 
-        Between ``process_batch`` calls the engine is already quiet (the
+        Between ``observe_batch`` calls the engine is already quiet (the
         hot path gathers what it sends), so this is a cheap invariant
         check — but supervisors call it before checkpointing so the
         two-phase snapshot never races an in-flight batch.
@@ -781,39 +814,31 @@ class _ParallelEngine:
         """
         blobs = self._gather_blobs()
         header: Dict[str, object] = {
-            "kind": self._checkpoint_kind,
+            "kind": "parallel-sharded",
             "workers": len(self._workers),
             "lengths": [len(blob) for blob in blobs],
             "degraded": self._failover_header(),
             "options": self._options(),
+            "per_shard_arrivals": list(self._per_shard_arrivals),
         }
-        if self._per_shard_arrivals is not None:
-            header["per_shard_arrivals"] = list(self._per_shard_arrivals)
         return pack_frame(header, b"".join(blobs))
 
     def checkpoint_state(self) -> bytes:
-        """Serialized fleet state (unified Detector-protocol spelling).
-
-        Alias of :meth:`checkpoint`, so the parallel engines satisfy
-        :class:`~repro.detection.api.Detector` /
-        :class:`~repro.detection.api.TimedDetector` like every
-        in-process variant.
-        """
+        """Serialized fleet state: alias of :meth:`checkpoint`, the
+        operational surface every in-process tier offers too."""
         return self.checkpoint()
 
     @classmethod
     def _from_checkpoint(cls, header: Dict[str, object], payload: bytes):
         blobs = _split_shard_blobs(header, payload)
-        shards = [load_detector(blob) for blob in blobs]
-        base_cls = TimeShardedDetector if cls._time_based else ShardedDetector
-        base = base_cls(shards)
-        if not cls._time_based:
-            arrivals = header.get("per_shard_arrivals")
-            if not isinstance(arrivals, list) or len(arrivals) != len(blobs):
-                raise CheckpointError(
-                    "parallel checkpoint arrivals do not match shards"
-                )
-            base._per_shard_arrivals = [int(count) for count in arrivals]
+        base = ShardedDetector([load_detector(blob) for blob in blobs])
+        arrivals = header.get("per_shard_arrivals")
+        if header.get("kind") == "parallel-time-sharded":
+            # The retired time-based kind kept no arrival counts.
+            arrivals = [0] * len(blobs)
+        if not isinstance(arrivals, list) or len(arrivals) != len(blobs):
+            raise CheckpointError("parallel checkpoint arrivals do not match shards")
+        base._per_shard_arrivals = [int(count) for count in arrivals]
         base._restore_failover(header.get("degraded", {}))
         # The constructor accepts death_policy as its string value, so
         # the serialized options dict round-trips directly.
@@ -828,8 +853,7 @@ class _ParallelEngine:
         blobs = self._gather_blobs()
         for index, blob in enumerate(blobs):
             self.base.shards[index] = load_detector(blob)
-        if self._per_shard_arrivals is not None:
-            self.base._per_shard_arrivals = list(self._per_shard_arrivals)
+        self.base._per_shard_arrivals = list(self._per_shard_arrivals)
         self.base._degraded = {
             shard: {"policy": entry["policy"], "clicks": int(entry["clicks"])}
             for shard, entry in self._degraded.items()
@@ -925,8 +949,7 @@ class _ParallelEngine:
             "shards": shards,
             "workers": workers,
         }
-        if self._per_shard_arrivals is not None:
-            snapshot["gauges"]["load_imbalance"] = self.load_imbalance()
+        snapshot["gauges"]["load_imbalance"] = self.load_imbalance()
         return snapshot
 
     def attach_telemetry(self, registry) -> None:
@@ -1013,164 +1036,6 @@ class _ParallelEngine:
             pass
 
 
-class ParallelShardedDetector(_ParallelEngine):
-    """Count-based sharded detection across worker processes.
-
-    Drop-in for :class:`~repro.detection.sharded.ShardedDetector` on the
-    processing interface (``process`` / ``process_batch``), with
-    bit-identical verdicts, checkpoint states, and summed op counts.
-    """
-
-    _time_based = False
-    _checkpoint_kind = "parallel-sharded"
-
-    @classmethod
-    def of_tbf(
-        cls,
-        global_window: int,
-        num_workers: int,
-        total_entries: int,
-        num_hashes: int = 10,
-        seed: int = 0,
-        **options,
-    ) -> "ParallelShardedDetector":
-        """``num_workers`` TBF shards, one worker process each.
-
-        Deprecated: build through :func:`repro.detection.create_detector`
-        with ``DetectorSpec('tbf', ..., shards=N, engine='parallel')``.
-        """
-        warnings.warn(
-            "ParallelShardedDetector.of_tbf is deprecated; build through "
-            "create_detector(DetectorSpec('tbf', ..., shards=N, "
-            "engine='parallel'))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls._of_tbf(
-            global_window, num_workers, total_entries, num_hashes,
-            seed=seed, **options,
-        )
-
-    @classmethod
-    def _of_tbf(
-        cls,
-        global_window: int,
-        num_workers: int,
-        total_entries: int,
-        num_hashes: int = 10,
-        seed: int = 0,
-        **options,
-    ) -> "ParallelShardedDetector":
-        return cls(
-            ShardedDetector._of_tbf(
-                global_window, num_workers, total_entries, num_hashes, seed=seed
-            ),
-            **options,
-        )
-
-    def process(self, identifier: int) -> bool:
-        """Scalar interface (one ring round-trip per click — prefer
-        :meth:`process_batch` on the hot path)."""
-        shard = self.base.router(identifier)
-        self._per_shard_arrivals[shard] += 1
-        entry = self._degraded.get(shard)
-        if entry is not None:
-            entry["clicks"] = int(entry["clicks"]) + 1
-            return entry["policy"] is FailoverPolicy.FAIL_CLOSED
-        ids = np.asarray([identifier], dtype=np.uint64)
-        return bool(self._shard_batch(shard, ids, None)[0])
-
-    def process_batch(self, identifiers: "np.ndarray") -> "np.ndarray":
-        identifiers = np.asarray(identifiers, dtype=np.uint64)
-        if identifiers.ndim != 1:
-            raise ValueError(f"identifiers must be 1-D, got {identifiers.ndim}-D")
-        return self._process_grouped(identifiers, None)
-
-    def load_imbalance(self) -> float:
-        total = sum(self._per_shard_arrivals)
-        if total == 0:
-            return 1.0
-        return max(self._per_shard_arrivals) / (total / len(self._workers))
-
-    def shard_arrivals(self) -> List[int]:
-        return list(self._per_shard_arrivals)
-
-
-class ParallelTimeShardedDetector(_ParallelEngine):
-    """Time-based sharded detection across worker processes (exact
-    window semantics — the global clock travels with every batch)."""
-
-    _time_based = True
-    _checkpoint_kind = "parallel-time-sharded"
-
-    @classmethod
-    def of_tbf(
-        cls,
-        duration: float,
-        resolution: int,
-        num_workers: int,
-        total_entries: int,
-        num_hashes: int = 10,
-        seed: int = 0,
-        **options,
-    ) -> "ParallelTimeShardedDetector":
-        """Deprecated: build through :func:`repro.detection.create_detector`
-        with ``DetectorSpec('tbf-time', ..., shards=N, engine='parallel')``."""
-        warnings.warn(
-            "ParallelTimeShardedDetector.of_tbf is deprecated; build through "
-            "create_detector(DetectorSpec('tbf-time', ..., shards=N, "
-            "engine='parallel'))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls._of_tbf(
-            duration, resolution, num_workers, total_entries, num_hashes,
-            seed=seed, **options,
-        )
-
-    @classmethod
-    def _of_tbf(
-        cls,
-        duration: float,
-        resolution: int,
-        num_workers: int,
-        total_entries: int,
-        num_hashes: int = 10,
-        seed: int = 0,
-        **options,
-    ) -> "ParallelTimeShardedDetector":
-        return cls(
-            TimeShardedDetector._of_tbf(
-                duration, resolution, num_workers, total_entries, num_hashes, seed=seed
-            ),
-            **options,
-        )
-
-    def process_at(self, identifier: int, timestamp: float) -> bool:
-        shard = self.base.router(identifier)
-        entry = self._degraded.get(shard)
-        if entry is not None:
-            entry["clicks"] = int(entry["clicks"]) + 1
-            return entry["policy"] is FailoverPolicy.FAIL_CLOSED
-        ids = np.asarray([identifier], dtype=np.uint64)
-        timestamps = np.asarray([timestamp], dtype=np.float64)
-        return bool(self._shard_batch(shard, ids, timestamps)[0])
-
-    def process_batch_at(
-        self, identifiers: "np.ndarray", timestamps: "np.ndarray"
-    ) -> "np.ndarray":
-        identifiers = np.asarray(identifiers, dtype=np.uint64)
-        timestamps = np.asarray(timestamps, dtype=np.float64)
-        if identifiers.ndim != 1:
-            raise ValueError(f"identifiers must be 1-D, got {identifiers.ndim}-D")
-        if timestamps.shape != identifiers.shape:
-            raise ValueError(
-                f"timestamps shape {timestamps.shape} != identifiers "
-                f"shape {identifiers.shape}"
-            )
-        return self._process_grouped(identifiers, timestamps)
-
-
 def lift_sharded(detector, workers: Optional[int] = None, **options):
     """Lift a single-process sharded detector into a parallel engine.
 
@@ -1179,47 +1044,32 @@ def lift_sharded(detector, workers: Optional[int] = None, **options):
     the shard count *is* the parallelism degree.  Already-parallel
     engines pass through unchanged.
     """
-    if isinstance(detector, _ParallelEngine):
+    if isinstance(detector, ParallelShardedDetector):
         return detector
-    if type(detector) is ShardedDetector:
-        cls = ParallelShardedDetector
-    elif type(detector) is TimeShardedDetector:
-        cls = ParallelTimeShardedDetector
-    else:
+    if type(detector) is not ShardedDetector:
         raise ConfigurationError(
             f"cannot parallelize {type(detector).__name__}; build a "
-            "ShardedDetector/TimeShardedDetector with one shard per worker"
+            "ShardedDetector with one shard per worker"
         )
     if workers is not None and workers != detector.num_shards:
         raise ConfigurationError(
             f"workers={workers} but the detector has {detector.num_shards} "
             "shards; one worker runs exactly one shard"
         )
-    return cls(detector, **options)
+    return ParallelShardedDetector(detector, **options)
 
 
 def _save_parallel(engine: ParallelShardedDetector) -> bytes:
     return engine.checkpoint()
 
 
-def _load_parallel(header, payload) -> ParallelShardedDetector:
-    return ParallelShardedDetector._from_checkpoint(header, payload)
-
-
-def _save_parallel_time(engine: ParallelTimeShardedDetector) -> bytes:
-    return engine.checkpoint()
-
-
-def _load_parallel_time(header, payload) -> ParallelTimeShardedDetector:
-    return ParallelTimeShardedDetector._from_checkpoint(header, payload)
-
-
 register_checkpoint_kind(
-    "parallel-sharded", ParallelShardedDetector, _save_parallel, _load_parallel
+    "parallel-sharded",
+    ParallelShardedDetector,
+    _save_parallel,
+    ParallelShardedDetector._from_checkpoint,
 )
-register_checkpoint_kind(
-    "parallel-time-sharded",
-    ParallelTimeShardedDetector,
-    _save_parallel_time,
-    _load_parallel_time,
+# Load-only alias: time-based fleets saved before the count/time collapse.
+register_retired_kind(
+    "parallel-time-sharded", ParallelShardedDetector._from_checkpoint
 )

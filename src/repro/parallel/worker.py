@@ -12,9 +12,11 @@ command stream from its request ring:
   a single-process run) and calls ``process_indices_batch``.
 * ``OP_IDS`` — raw identifiers, for shard detectors without a
   pre-hashable batch path; the worker hashes locally.
-* ``OP_IDS_TS`` — identifiers + timestamps for time-based shards
-  (``process_batch_at``; the hash is evaluated inside the unit-grouped
-  batch kernel, so there is no separable pre-hash entry point).
+* ``OP_IDS_TS`` — identifiers + timestamps for time-based shards (the
+  hash is evaluated inside the unit-grouped batch kernel, so there is
+  no separable pre-hash entry point).
+
+Both raw ops go through the shard's ``observe_batch``.
 * ``OP_CHECKPOINT`` / ``OP_TELEMETRY`` / ``OP_OPCOUNTS`` — control
   commands answered over the pipe.  Because they travel through the
   same FIFO ring as batches, reaching one means every earlier batch has
@@ -163,9 +165,7 @@ def _serve(
     conn,
     spans: Optional[SpanShardWriter] = None,
 ) -> None:
-    process_batch = getattr(detector, "process_batch", None)
     process_indices_batch = getattr(detector, "process_indices_batch", None)
-    process_batch_at = getattr(detector, "process_batch_at", None)
 
     while True:
         popped = request.pop(timeout=_POLL_SECONDS)
@@ -212,34 +212,14 @@ def _serve(
             # summed counters match the single-process run bit for bit.
             detector.counter.hash_evaluations += count * num_hashes
             verdicts = process_indices_batch(indices)
-        elif op == OP_IDS:
+        elif op in (OP_IDS, OP_IDS_TS):
             identifiers = np.frombuffer(payload, dtype=np.uint64, count=count)
-            if process_batch is not None:
-                verdicts = process_batch(identifiers)
-            else:
-                process = detector.process
-                verdicts = np.fromiter(
-                    (process(int(identifier)) for identifier in identifiers),
-                    dtype=bool,
-                    count=count,
-                )
-        elif op == OP_IDS_TS:
-            identifiers = np.frombuffer(payload, dtype=np.uint64, count=count)
-            timestamps = np.frombuffer(
-                payload, dtype=np.float64, count=count, offset=count * 8
+            timestamps = (
+                np.frombuffer(payload, dtype=np.float64, count=count, offset=count * 8)
+                if op == OP_IDS_TS
+                else None
             )
-            if process_batch_at is not None:
-                verdicts = process_batch_at(identifiers, timestamps)
-            else:
-                process_at = detector.process_at
-                verdicts = np.fromiter(
-                    (
-                        process_at(int(identifier), float(timestamp))
-                        for identifier, timestamp in zip(identifiers, timestamps)
-                    ),
-                    dtype=bool,
-                    count=count,
-                )
+            verdicts = detector.observe_batch(identifiers, timestamps)
         else:
             request.release_slot()
             raise RuntimeError(f"unknown ring op {op}")

@@ -100,13 +100,13 @@ class EngineFaultHooks:
 class ChaosDetector:
     """Wrap a detector so scheduled batch calls raise :class:`InjectedFault`.
 
-    ``fail_calls`` indexes the combined sequence of ``process_batch`` /
-    ``process_batch_at`` invocations.  Everything else — checkpointing,
-    telemetry, window introspection — delegates to the wrapped
-    detector, so the wrapper slots anywhere the real one does.  The
-    serve engine must answer the affected group with ``ERROR`` frames
-    and keep serving (the per-group never-crash discipline), which
-    ``tests/test_chaos.py`` asserts.
+    ``fail_calls`` indexes the sequence of ``observe_batch``
+    invocations.  Everything else — checkpointing, telemetry, window
+    introspection — delegates to the wrapped detector, so the wrapper
+    slots anywhere the real one does.  The serve engine must answer
+    the affected group with ``ERROR`` frames and keep serving (the
+    per-group never-crash discipline), which ``tests/test_chaos.py``
+    asserts.
     """
 
     def __init__(self, detector, fail_calls: Iterable[int] = ()) -> None:
@@ -120,13 +120,11 @@ class ChaosDetector:
         if index in self._fail_calls:
             raise InjectedFault(f"injected detector failure at batch call {index}")
 
-    def process_batch(self, identifiers):
+    # Defined here, not reached through __getattr__: a delegated call
+    # would go straight to the wrapped detector and skip the fault.
+    def observe_batch(self, identifiers, timestamps=None):
         self._maybe_fail()
-        return self._detector.process_batch(identifiers)
-
-    def process_batch_at(self, identifiers, timestamps):
-        self._maybe_fail()
-        return self._detector.process_batch_at(identifiers, timestamps)
+        return self._detector.observe_batch(identifiers, timestamps)
 
     def __getattr__(self, name):
         return getattr(self._detector, name)

@@ -53,7 +53,6 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from ..detection.api import is_timed
 from ..detection.pipeline import DetectionPipeline
 from ..errors import CheckpointError, ConfigurationError, ProtocolError
 from ..core.checkpoint import load_detector, pack_frame, unpack_frame
@@ -404,9 +403,9 @@ class _Connection:
 class ClickIngestServer:
     """Serve a duplicate detector over TCP (binary frames or JSONL).
 
-    Generic over every detector variant via the unified protocol
-    (:mod:`repro.detection.api`): anything :func:`wrap_timed` accepts —
-    GBF/TBF, their time-based twins, jumping, sharded, parallel — plugs
+    Generic over every detector variant via the one detector contract
+    (:class:`repro.detection.api.Detector`): GBF/TBF, their time-based
+    twins, jumping, sharded, parallel, cluster slices, adaptive — plugs
     in unchanged.
     """
 
@@ -460,7 +459,7 @@ class ClickIngestServer:
             )
             self._engine_owned = engine is not self._base_detector
         self._engine_detector = engine
-        self._timed = is_timed(engine)
+        self._timed = engine.timed
         self.pipeline = DetectionPipeline(
             engine,
             billing=None,
@@ -762,8 +761,6 @@ class ClickIngestServer:
         """
         if self._store is None:
             return
-        from ..detection.api import wrap_timed
-
         blob = pack_frame(
             {
                 "kind": _CHECKPOINT_KIND,
@@ -773,7 +770,7 @@ class ClickIngestServer:
                 ),
                 "dedup": self._dedup.state() if self._dedup.enabled else None,
             },
-            wrap_timed(self._base_detector).checkpoint_state(),
+            self._base_detector.checkpoint_state(),
         )
         hook = getattr(self.fault_hooks, "on_checkpoint", None)
         for attempt in (1, 2):
@@ -811,25 +808,33 @@ class ClickIngestServer:
                 BrokenPipeError, OSError):
             pass  # torn mid-frame (e.g. a truncated delivery): drop it
         finally:
-            conn.responses.put_nowait(None)
             try:
-                await asyncio.shield(sender)
-            except asyncio.CancelledError:
+                conn.responses.put_nowait(None)
                 try:
-                    await sender
+                    await asyncio.shield(sender)
                 except asyncio.CancelledError:
-                    # Loop teardown (abrupt kill) cancelled the sender
-                    # too; swallow so the socket below still closes —
-                    # a leaked fd keeps peers hanging instead of
-                    # seeing EOF.
+                    try:
+                        await sender
+                    except asyncio.CancelledError:
+                        # Loop teardown (abrupt kill) cancelled the sender
+                        # too; swallow so the socket below still closes —
+                        # a leaked fd keeps peers hanging instead of
+                        # seeing EOF.
+                        pass
+                try:
+                    writer.close()
+                    await writer.wait_closed()
+                except (asyncio.CancelledError, ConnectionResetError,
+                        BrokenPipeError, OSError):
+                    # drain() cancels every handler to stop its reader,
+                    # then waits for it.  One already here, waiting for
+                    # its socket to close, has nothing left to stop;
+                    # ending it cancelled would only make asyncio log
+                    # the cancellation as an error.
                     pass
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-            self._handlers.discard(asyncio.current_task())
-            self._connections_active.dec()
+            finally:
+                self._handlers.discard(asyncio.current_task())
+                self._connections_active.dec()
 
     async def _reader_loop(
         self, conn: _Connection, reader: asyncio.StreamReader

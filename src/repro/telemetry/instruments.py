@@ -68,15 +68,15 @@ def theoretical_fp_bound(detector) -> Optional[float]:
         # APBF (Shtul et al. 2020): closed-form run-of-k bound over
         # steady-state slice fills; the detector owns the formula.
         return detector.theoretical_fp_bound()
-    if kind in ("AdaptiveDetector", "AdaptiveTimedDetector"):
+    if kind == "AdaptiveDetector":
         # The resizable wrapper answers with its *current* inner
         # detector's bound, so the envelope tracks each migrate.
         return theoretical_fp_bound(detector.inner)
-    if kind in ("ShardedDetector", "TimeShardedDetector"):
+    if kind == "ShardedDetector":
         bounds = [theoretical_fp_bound(shard) for shard in detector.shards]
         bounds = [bound for bound in bounds if bound is not None]
         return max(bounds) if bounds else None
-    if kind in ("ParallelShardedDetector", "ParallelTimeShardedDetector"):
+    if kind == "ParallelShardedDetector":
         # The workers run copies of base's shards; the bound is sizing
         # math only, so base answers for the fleet.
         return theoretical_fp_bound(detector.base)

@@ -23,11 +23,9 @@ import pytest
 from repro.adaptive import (
     AdaptiveController,
     AdaptiveDetector,
-    AdaptiveTimedDetector,
     AgePartitionedBFDetector,
     ControllerConfig,
     TimeLimitedBFDetector,
-    adaptive_detector,
     scaled_spec,
 )
 from repro.bloom.params import apbf_false_positive_rate, sliced_false_positive_rate
@@ -37,12 +35,9 @@ from repro.detection import (
     DetectorLifecycle,
     DetectorSpec,
     LifecycleAdapter,
-    ShardedDetector,
-    TimeShardedDetector,
     WindowSpec,
     as_lifecycle,
     create_detector,
-    is_timed,
 )
 from repro.errors import ConfigurationError, StreamError
 
@@ -193,12 +188,6 @@ class TestSpecRoundTrips:
                 "tbf", WindowSpec("sliding", 64), params=params
             )  # wrong params type for the algorithm
 
-    def test_of_tbf_is_deprecated(self):
-        with pytest.warns(DeprecationWarning):
-            ShardedDetector.of_tbf(64, 2, 1024, seed=1)
-        with pytest.warns(DeprecationWarning):
-            TimeShardedDetector.of_tbf(8.0, 4, 2, 1024, seed=1)
-
 
 class TestCheckpointRoundTrips:
     @pytest.mark.parametrize("shards", [1, 3])
@@ -207,12 +196,12 @@ class TestCheckpointRoundTrips:
             "apbf", WindowSpec("sliding", 128), target_fp=0.01, shards=shards
         )
         detector = create_detector(spec)
-        detector.process_batch(_distinct(500, seed=11))
+        detector.observe_batch(_distinct(500, seed=11))
         blob = save_detector(detector)
         restored = load_detector(blob)
         probe = _distinct(300, seed=12)
         assert np.array_equal(
-            detector.process_batch(probe), restored.process_batch(probe)
+            detector.observe_batch(probe), restored.observe_batch(probe)
         )
         assert save_detector(detector) == save_detector(restored)
 
@@ -224,13 +213,13 @@ class TestCheckpointRoundTrips:
         )
         detector = create_detector(spec)
         stamps = np.cumsum(np.full(500, 0.01))
-        detector.process_batch_at(_distinct(500, seed=11), stamps)
+        detector.observe_batch(_distinct(500, seed=11), stamps)
         restored = load_detector(save_detector(detector))
         probe = _distinct(300, seed=12)
         later = stamps[-1] + np.cumsum(np.full(300, 0.01))
         assert np.array_equal(
-            detector.process_batch_at(probe, later),
-            restored.process_batch_at(probe, later),
+            detector.observe_batch(probe, later),
+            restored.observe_batch(probe, later),
         )
         assert save_detector(detector) == save_detector(restored)
 
@@ -238,11 +227,11 @@ class TestCheckpointRoundTrips:
 class TestLifecycleSurface:
     def test_adaptive_wrappers_are_native_lifecycles(self):
         count = AdaptiveDetector(APBF_SPEC)
-        timed = AdaptiveTimedDetector(TLBF_SPEC)
+        timed = AdaptiveDetector(TLBF_SPEC)
         assert isinstance(count, DetectorLifecycle)
         assert isinstance(timed, DetectorLifecycle)
         assert as_lifecycle(count) is count
-        assert not is_timed(count) and is_timed(timed)
+        assert not count.timed and timed.timed
 
     def test_adapter_wraps_plain_detectors(self):
         detector = create_detector(APBF_SPEC)
@@ -256,16 +245,21 @@ class TestLifecycleSurface:
             lifecycle.migrate(APBF_SPEC)
 
     def test_factory_picks_time_model(self):
-        assert type(adaptive_detector(APBF_SPEC)) is AdaptiveDetector
-        assert type(adaptive_detector(TLBF_SPEC)) is AdaptiveTimedDetector
+        # One wrapper class: the spec picks the time model, and a
+        # migrate may not switch it.
+        count = AdaptiveDetector(APBF_SPEC)
+        timed = AdaptiveDetector(TLBF_SPEC)
+        assert not count.timed and timed.timed
         with pytest.raises(ConfigurationError):
-            AdaptiveDetector(TLBF_SPEC)
+            count.migrate(TLBF_SPEC)
         with pytest.raises(ConfigurationError):
-            AdaptiveTimedDetector(APBF_SPEC)
+            timed.migrate(APBF_SPEC)
+        with pytest.raises(ConfigurationError):
+            timed.observe(7)  # time-based: the timestamp is required
 
     def test_wrapper_checkpoint_round_trip(self):
         wrapper = AdaptiveDetector(APBF_SPEC, retain=64)
-        wrapper.process_batch(_distinct(300, seed=1))
+        wrapper.observe_batch(_distinct(300, seed=1))
         wrapper.migrate(scaled_spec(wrapper.spec(), 2.0))
         blob = wrapper.checkpoint()
         restored = load_detector(blob)
@@ -273,20 +267,20 @@ class TestLifecycleSurface:
         assert restored.migrations == wrapper.migrations
         probe = _distinct(200, seed=2)
         assert np.array_equal(
-            wrapper.process_batch(probe), restored.process_batch(probe)
+            wrapper.observe_batch(probe), restored.observe_batch(probe)
         )
         assert wrapper.checkpoint() == restored.checkpoint()
 
     def test_timed_wrapper_checkpoint_round_trip(self):
-        wrapper = AdaptiveTimedDetector(TLBF_SPEC, retain=64)
+        wrapper = AdaptiveDetector(TLBF_SPEC, retain=64)
         stamps = np.cumsum(np.full(300, 0.01))
-        wrapper.process_batch_at(_distinct(300, seed=1), stamps)
+        wrapper.observe_batch(_distinct(300, seed=1), stamps)
         restored = load_detector(wrapper.checkpoint())
         probe = _distinct(100, seed=2)
         later = stamps[-1] + np.cumsum(np.full(100, 0.01))
         assert np.array_equal(
-            wrapper.process_batch_at(probe, later),
-            restored.process_batch_at(probe, later),
+            wrapper.observe_batch(probe, later),
+            restored.observe_batch(probe, later),
         )
         assert wrapper.checkpoint() == restored.checkpoint()
 
@@ -307,7 +301,7 @@ class TestMigrateReplayProperty:
     def test_migrate_equals_fresh_replay(self, ids, retain, grow):
         wrapper = AdaptiveDetector(SMALL_SPEC, retain=retain)
         for identifier in ids:
-            wrapper.process(identifier)
+            wrapper.observe(identifier)
         new_spec = scaled_spec(wrapper.spec(), 2.0 if grow else 0.5)
         wrapper.migrate(new_spec)
         fresh = create_detector(new_spec)
@@ -317,7 +311,7 @@ class TestMigrateReplayProperty:
         # Verdicts keep matching on a continued stream.
         probe = np.array([x * 7 % 61 for x in range(40)], dtype=np.uint64)
         assert np.array_equal(
-            wrapper.process_batch(probe), fresh.process_batch(probe)
+            wrapper.observe_batch(probe), fresh.process_batch(probe)
         )
 
     @SETTINGS
@@ -334,11 +328,11 @@ class TestMigrateReplayProperty:
             "time-limited-bf", WindowSpec("sliding", 64),
             target_fp=0.05, duration=8.0, resolution=4,
         )
-        wrapper = AdaptiveTimedDetector(spec, retain=retain)
+        wrapper = AdaptiveDetector(spec, retain=retain)
         n = min(len(ids), len(gaps))
         stamps = np.cumsum(gaps[:n])
         for identifier, stamp in zip(ids[:n], stamps):
-            wrapper.process_at(identifier, float(stamp))
+            wrapper.observe(identifier, float(stamp))
         new_spec = scaled_spec(wrapper.spec(), 2.0)
         wrapper.migrate(new_spec)
         fresh = create_detector(new_spec)
@@ -356,7 +350,7 @@ class TestController:
         rng = np.random.default_rng(1)
         event = None
         for _ in range(200):
-            detector.process_batch(
+            detector.observe_batch(
                 rng.integers(0, 1 << 40, 64).astype(np.uint64)
             )
             event = controller.observe()

@@ -302,10 +302,10 @@ class TestShardedEquivalence:
         scalar = build()
         batch = build()
         array = np.array(ids, dtype=np.uint64)
-        expected = np.array([scalar.process(int(x)) for x in ids], dtype=bool)
+        expected = np.array([scalar.observe(int(x)) for x in ids], dtype=bool)
         got = np.empty(len(ids), dtype=bool)
         for start, stop in _slices(len(ids), chunking):
-            got[start:stop] = batch.process_batch(array[start:stop])
+            got[start:stop] = batch.observe_batch(array[start:stop])
         assert np.array_equal(expected, got)
         assert save_detector(scalar) == save_detector(batch)
         assert scalar.shard_arrivals() == batch.shard_arrivals()

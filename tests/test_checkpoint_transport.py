@@ -24,7 +24,7 @@ from repro.core import (
     load_detector,
     save_detector,
 )
-from repro.detection import ShardedDetector, TimeShardedDetector
+from tests.fleets import tbf_fleet, timed_tbf_fleet
 
 
 def _variants():
@@ -37,23 +37,22 @@ def _variants():
             lambda: TimeBasedGBFDetector(24.0, 4, 1024, 4, units_per_subwindow=4, seed=3),
         ),
         ("tbf-time", lambda: TimeBasedTBFDetector(24.0, 8, 2048, 4, seed=3)),
-        ("sharded", lambda: ShardedDetector._of_tbf(64, 3, 4096, 4, seed=3)),
-        ("time-sharded", lambda: TimeShardedDetector._of_tbf(24.0, 8, 3, 4096, 4, seed=3)),
+        ("sharded", lambda: tbf_fleet(64, 3, 4096, 4, seed=3)),
+        ("time-sharded", lambda: timed_tbf_fleet(24.0, 8, 3, 4096, 4, seed=3)),
     ]
 
 
 def _drive(detector, count, seed):
-    """Warm a detector with deterministic traffic through either protocol."""
+    """Warm a detector with deterministic traffic of either time model."""
     rng = random.Random(seed)
-    process = getattr(detector, "process", None)
-    if process is not None:
+    if not detector.timed:
         for _ in range(count):
-            process(rng.randrange(60))
+            detector.observe(rng.randrange(60))
         return
     timestamp = 0.0
     for _ in range(count):
         timestamp += rng.random() * 0.05
-        detector.process_at(rng.randrange(60), timestamp)
+        detector.observe(rng.randrange(60), timestamp)
 
 
 def _echo_child(conn):
@@ -91,11 +90,10 @@ def test_spawn_transport_is_bit_identical(name, factory, echo):
 
     # And the round-tripped detector behaves identically from here on.
     continued = load_detector(returned)
-    process = getattr(detector, "process", None)
-    if process is not None:
+    if not detector.timed:
         rng_a, rng_b = random.Random(9), random.Random(9)
-        assert [detector.process(rng_a.randrange(60)) for _ in range(300)] == [
-            continued.process(rng_b.randrange(60)) for _ in range(300)
+        assert [detector.observe(rng_a.randrange(60)) for _ in range(300)] == [
+            continued.observe(rng_b.randrange(60)) for _ in range(300)
         ]
     else:
         rng = random.Random(9)
@@ -103,7 +101,7 @@ def test_spawn_transport_is_bit_identical(name, factory, echo):
         for _ in range(300):
             timestamp += rng.random() * 0.05
             identifier = rng.randrange(60)
-            assert detector.process_at(identifier, timestamp) == continued.process_at(
+            assert detector.observe(identifier, timestamp) == continued.observe(
                 identifier, timestamp
             )
 

@@ -8,9 +8,12 @@ same stream — including across a node SIGKILL + checkpoint restore and
 a live N=2 → N=3 rebalance.
 """
 
+import asyncio
 import json
+import logging
 import socket
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import (
     ClusterConfig,
+    ClusterSlice,
     HashRing,
     LocalCluster,
     merge_verdict_payloads,
@@ -56,6 +60,7 @@ from repro.serve.protocol import (
     encode_hello,
 )
 from repro.serve.server import _CHECKPOINT_KIND
+from tests.fleets import tbf_fleet
 
 WINDOW = 1 << 10
 SHARDS = 8
@@ -64,7 +69,7 @@ HASHES = 4
 
 
 def _reference(seed: int = 1) -> ShardedDetector:
-    return ShardedDetector._of_tbf(WINDOW, SHARDS, ENTRIES, HASHES, seed=seed)
+    return tbf_fleet(WINDOW, SHARDS, ENTRIES, HASHES, seed=seed)
 
 
 def _stream(count: int, seed: int) -> np.ndarray:
@@ -98,7 +103,7 @@ def _newest_shard_blobs(directory):
         header, payload = unpack_frame(blob)
         if header.get("kind") != _CHECKPOINT_KIND:
             continue
-        _total, _kind, blobs = slice_shard_blobs(bytes(payload))
+        _total, _timed, blobs = slice_shard_blobs(bytes(payload))
         return blobs
     raise AssertionError(f"no readable checkpoint under {directory}")
 
@@ -146,7 +151,7 @@ class TestClusterSlice:
     def test_slices_bit_identical_to_reference(self):
         identifiers = _stream(6_000, seed=3)
         reference = _reference()
-        expected = reference.process_batch(identifiers)
+        expected = reference.observe_batch(identifiers)
 
         assignment = HashRing(["node-0", "node-1"]).assign(SHARDS)
         slices = split_sharded(_reference(), assignment, 2)
@@ -154,13 +159,24 @@ class TestClusterSlice:
         actual = np.empty(identifiers.shape[0], dtype=bool)
         for node, piece in enumerate(slices):
             positions = np.flatnonzero(node_of == node)
-            actual[positions] = piece.process_batch(identifiers[positions])
+            actual[positions] = piece.observe_batch(identifiers[positions])
         assert np.array_equal(actual, expected)
         for node, piece in enumerate(slices):
             for shard in piece.owned:
                 assert piece.checkpoint_shard(shard) == (
                     reference.checkpoint_shard(shard)
                 )
+
+    def test_refuses_mixed_time_models(self):
+        from repro.core import TBFDetector, TimeBasedTBFDetector
+
+        with pytest.raises(ConfigurationError, match="time model"):
+            ClusterSlice(
+                SHARDS,
+                {0: TBFDetector(64, 1024, 4), 1: TimeBasedTBFDetector(8.0, 8, 1024, 4)},
+            )
+        # A node that owns no shard takes the fleet's time model.
+        assert ClusterSlice(SHARDS, {}, timed=True).timed
 
     def test_misrouted_identifier_refused(self):
         assignment = HashRing(["node-0", "node-1"]).assign(SHARDS)
@@ -169,12 +185,12 @@ class TestClusterSlice:
         node_of = assignment[route_batch(np.arange(64, dtype=np.uint64), SHARDS)]
         stray = int(np.flatnonzero(node_of == 1)[0])
         with pytest.raises(ConfigurationError, match="owning only"):
-            slices[0].process_batch(np.array([stray], dtype=np.uint64))
+            slices[0].observe_batch(np.array([stray], dtype=np.uint64))
 
     def test_checkpoint_roundtrip_preserves_shard_bytes(self):
         assignment = HashRing(["node-0", "node-1"]).assign(SHARDS)
         slices = split_sharded(_reference(), assignment, 2)
-        slices[0].process_batch(
+        slices[0].observe_batch(
             np.array(
                 [s for s in range(200) if assignment[
                     route_batch(np.array([s], dtype=np.uint64), SHARDS)[0]
@@ -183,9 +199,10 @@ class TestClusterSlice:
             )
         )
         blob = slices[0].checkpoint_state()
-        total, kind, shard_blobs = slice_shard_blobs(blob)
+        total, timed, shard_blobs = slice_shard_blobs(blob)
         assert total == SHARDS
-        assert kind == "cluster-slice"
+        assert unpack_frame(blob)[0]["kind"] == "cluster-slice"
+        assert timed is False
         assert set(shard_blobs) == set(slices[0].owned)
         for shard, raw in shard_blobs.items():
             assert raw == slices[0].checkpoint_shard(shard)
@@ -271,7 +288,7 @@ class TestRouterProtocol:
                         start=1,
                     ):
                         identifiers = _stream(500, seed=40 + seq)
-                        expected = reference.process_batch(identifiers)
+                        expected = reference.observe_batch(identifiers)
                         records = np.zeros(500, dtype=RECORD_DTYPE)
                         records["identifier"] = identifiers
                         body = records.tobytes()
@@ -395,7 +412,7 @@ def test_cluster_failover_and_rebalance_bit_identical(seed):
                         chunk = identifiers[offset : offset + batch]
                         client.submit(chunk)
                         got = client.collect()
-                        expected = reference.process_batch(chunk)
+                        expected = reference.observe_batch(chunk)
                         assert np.array_equal(got, expected), offset
 
                 feed(0, 3_000)
@@ -432,7 +449,7 @@ def test_offline_rebalance_reshapes_a_drained_cluster():
                 client.submit(identifiers[:3_000])
                 assert np.array_equal(
                     client.collect(),
-                    reference.process_batch(identifiers[:3_000]),
+                    reference.observe_batch(identifiers[:3_000]),
                 )
 
         manifest = rebalance_checkpoints(state, 3)
@@ -444,5 +461,32 @@ def test_offline_rebalance_reshapes_a_drained_cluster():
                 client.submit(identifiers[3_000:])
                 assert np.array_equal(
                     client.collect(),
-                    reference.process_batch(identifiers[3_000:]),
+                    reference.observe_batch(identifiers[3_000:]),
                 )
+
+
+def test_router_drain_right_after_client_close(caplog, monkeypatch):
+    # The serve suite's drain race, through the router: one batch,
+    # collect, close, drain at once, with the handler cancelled as it
+    # enters wait_closed() (what drain() does to a handler already
+    # closing its socket).
+    original = asyncio.StreamWriter.wait_closed
+
+    async def cancelled_while_closing(writer):
+        asyncio.current_task().cancel()
+        await original(writer)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "wait_closed", cancelled_while_closing)
+    with tempfile.TemporaryDirectory(prefix="repro-cluster-") as state:
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            cluster = LocalCluster(_reference, 1, state).start()
+            router = cluster.router.router
+            try:
+                with ServeClient("127.0.0.1", cluster.port) as client:
+                    client.submit(_stream(4_096, seed=1))
+                    client.collect()
+                time.sleep(0.2)  # let the session reach its socket close
+            finally:
+                cluster.drain()
+    assert not router._sessions and not router._handlers
+    assert "CancelledError" not in caplog.text

@@ -105,18 +105,6 @@ class TestCreateDetector:
         with pytest.raises(ConfigurationError):
             create_detector(DetectorSpec(algorithm="quantum", window=WindowSpec("sliding", 10), memory_bits=10))
 
-    def test_legacy_signature_deprecated_but_equivalent(self):
-        with pytest.warns(DeprecationWarning, match="create_detector"):
-            legacy = create_detector(
-                "tbf", WindowSpec("sliding", 1024), target_fp=0.01
-            )
-        modern = create_detector(DetectorSpec(
-            algorithm="tbf", window=WindowSpec("sliding", 1024), target_fp=0.01
-        ))
-        assert type(legacy) is type(modern)
-        assert legacy.num_entries == modern.num_entries
-        assert legacy.num_hashes == modern.num_hashes
-
     def test_spec_time_based_variants(self):
         from repro.core import TimeBasedGBFDetector, TimeBasedTBFDetector
 
@@ -140,7 +128,7 @@ class TestCreateDetector:
                          target_fp=0.01, duration=60.0)
 
     def test_spec_sharded_variants(self):
-        from repro.detection import ShardedDetector, TimeShardedDetector
+        from repro.detection import ShardedDetector
 
         sharded = create_detector(DetectorSpec(
             algorithm="tbf", window=WindowSpec("sliding", 1024),
@@ -152,7 +140,8 @@ class TestCreateDetector:
             algorithm="tbf-time", window=WindowSpec("sliding", 1024),
             target_fp=0.01, duration=60.0, shards=4,
         ))
-        assert isinstance(timed, TimeShardedDetector)
+        assert isinstance(timed, ShardedDetector)
+        assert timed.timed and not sharded.timed
 
     def test_spec_shards_require_shardable_algorithm(self):
         with pytest.raises(ConfigurationError):

@@ -1,28 +1,32 @@
-"""Protocol-conformance suite: every variant, one unified API.
+"""Protocol-conformance suite: every variant and every tier, one contract.
 
-Every detector variant in the library must satisfy the runtime-checkable
-protocol of :mod:`repro.detection.api` (``Detector`` or
-``TimedDetector``) and, driven through the :func:`wrap_timed` adapter's
-single ``observe(identifier, timestamp)`` surface, must produce verdicts
-identical to its native call surface.
+Every algorithm :func:`create_detector` builds, and every tier above
+``core`` (sharded, parallel, cluster slice, adaptive) in both time
+models, must satisfy :class:`repro.detection.api.Detector` — ``timed``,
+``observe(identifier, timestamp)`` and ``observe_batch`` — with
+``observe`` matching the variant's own scalar call and
+``observe_batch`` matching an ``observe`` loop.
 """
 
 import numpy as np
 import pytest
 
+from repro.adaptive import AdaptiveDetector
+from repro.cluster import ClusterSlice, split_sharded
+from repro.core import CountBasedDetector, TimeBasedDetector
 from repro.detection import (
+    ALGORITHMS,
     Detector,
     DetectorSpec,
-    TimedDetector,
+    ShardedDetector,
     WindowSpec,
     create_detector,
-    is_timed,
-    wrap_timed,
 )
 from repro.errors import ConfigurationError
+from repro.parallel import ParallelShardedDetector
 
-#: Every variant of the unified protocol, one spec each.
-VARIANTS = {
+#: Every algorithm of the factory, plus sharded and parallel fleets.
+SPECS = {
     "gbf": DetectorSpec(
         algorithm="gbf", window=WindowSpec("jumping", 256, 8), target_fp=0.01
     ),
@@ -48,17 +52,47 @@ VARIANTS = {
         algorithm="time-limited-bf", window=WindowSpec("sliding", 256),
         target_fp=0.01, duration=64.0, resolution=16,
     ),
+    "exact": DetectorSpec(algorithm="exact", window=WindowSpec("sliding", 256)),
+    "landmark-bloom": DetectorSpec(
+        algorithm="landmark-bloom", window=WindowSpec("landmark", 256),
+        target_fp=0.01,
+    ),
+    "naive-bloom": DetectorSpec(
+        algorithm="naive-bloom", window=WindowSpec("jumping", 256, 8),
+        target_fp=0.01,
+    ),
+    "metwally-cbf": DetectorSpec(
+        algorithm="metwally-cbf", window=WindowSpec("jumping", 256, 8),
+        target_fp=0.01,
+    ),
+    "stable-bloom": DetectorSpec(
+        algorithm="stable-bloom", window=WindowSpec("sliding", 256),
+        target_fp=0.01,
+    ),
     "sharded": DetectorSpec(
         algorithm="tbf", window=WindowSpec("sliding", 256),
         target_fp=0.01, shards=2,
+    ),
+    "sharded-time": DetectorSpec(
+        algorithm="tbf-time", window=WindowSpec("sliding", 256),
+        target_fp=0.01, duration=64.0, resolution=16, shards=2,
     ),
     "sharded-apbf": DetectorSpec(
         algorithm="apbf", window=WindowSpec("sliding", 256),
         target_fp=0.01, shards=2,
     ),
+    "sharded-tlbf": DetectorSpec(
+        algorithm="time-limited-bf", window=WindowSpec("sliding", 256),
+        target_fp=0.01, duration=64.0, resolution=16, shards=2,
+    ),
     "parallel": DetectorSpec(
         algorithm="tbf", window=WindowSpec("sliding", 256),
         target_fp=0.01, shards=2, engine="parallel",
+    ),
+    "parallel-time": DetectorSpec(
+        algorithm="tbf-time", window=WindowSpec("sliding", 256),
+        target_fp=0.01, duration=64.0, resolution=16, shards=2,
+        engine="parallel",
     ),
     "parallel-apbf": DetectorSpec(
         algorithm="apbf", window=WindowSpec("sliding", 256),
@@ -66,7 +100,35 @@ VARIANTS = {
     ),
 }
 
-TIMED = {"gbf-time", "tbf-time", "time-limited-bf"}
+
+def _whole_fleet_slice(name):
+    # One node owning every shard, so the slice answers every click.
+    fleet = create_detector(SPECS[name])
+    return split_sharded(fleet, np.zeros(fleet.num_shards, dtype=np.int64), 1)[0]
+
+
+#: Every variant: the spec-built ones plus the adaptive and cluster tiers.
+VARIANTS = {
+    **{name: (lambda spec=spec: create_detector(spec)) for name, spec in SPECS.items()},
+    "adaptive": lambda: AdaptiveDetector(SPECS["apbf"]),
+    "adaptive-time": lambda: AdaptiveDetector(SPECS["time-limited-bf"]),
+    "cluster-slice": lambda: _whole_fleet_slice("sharded"),
+    "cluster-slice-time": lambda: _whole_fleet_slice("sharded-time"),
+}
+
+TIMED = {
+    "gbf-time",
+    "tbf-time",
+    "time-limited-bf",
+    "sharded-time",
+    "sharded-tlbf",
+    "parallel-time",
+    "adaptive-time",
+    "cluster-slice-time",
+}
+
+#: Baselines answer the contract but keep no checkpoint or telemetry.
+BASELINES = {"exact", "landmark-bloom", "naive-bloom", "metwally-cbf", "stable-bloom"}
 
 
 def _stream(count=3000, seed=11):
@@ -82,9 +144,24 @@ def _close(detector):
         close()
 
 
+def _native(detector):
+    """The variant's own scalar call as ``(identifier, timestamp) -> bool``.
+
+    Core variants and baselines keep their scalar reference loops
+    (``process`` / ``process_at``).  The tiers answer only the contract,
+    so theirs is ``observe`` — without the timestamp when count-based.
+    """
+    if detector.timed:
+        return getattr(detector, "process_at", detector.observe)
+    process = getattr(detector, "process", None)
+    if process is None:
+        return lambda identifier, timestamp: detector.observe(identifier)
+    return lambda identifier, timestamp: process(identifier)
+
+
 @pytest.fixture(params=sorted(VARIANTS))
 def variant(request):
-    detector = create_detector(VARIANTS[request.param])
+    detector = VARIANTS[request.param]()
     try:
         yield request.param, detector
     finally:
@@ -94,15 +171,28 @@ def variant(request):
 class TestProtocolConformance:
     def test_satisfies_protocol(self, variant):
         name, detector = variant
-        if name in TIMED:
-            assert isinstance(detector, TimedDetector)
-            assert is_timed(detector)
-        else:
-            assert isinstance(detector, Detector)
-            assert not is_timed(detector)
+        assert isinstance(detector, Detector)
+        assert detector.timed is (name in TIMED)
+
+    def test_covers_every_algorithm_and_tier(self):
+        assert {spec.algorithm for spec in SPECS.values()} == set(ALGORITHMS)
+        built = {}
+        for name, factory in VARIANTS.items():
+            detector = factory()
+            try:
+                built.setdefault(type(detector), set()).add(detector.timed)
+            finally:
+                _close(detector)
+        for tier in (
+            ShardedDetector, ParallelShardedDetector, ClusterSlice, AdaptiveDetector
+        ):
+            assert built[tier] == {False, True}, tier.__name__
 
     def test_operational_surface(self, variant):
         name, detector = variant
+        if name in BASELINES:
+            assert int(detector.memory_bits) >= 0
+            return
         blob = detector.checkpoint_state()
         assert isinstance(blob, bytes) and blob
         snapshot = detector.telemetry_snapshot()
@@ -112,34 +202,28 @@ class TestProtocolConformance:
     def test_observe_matches_native_scalar(self, variant):
         name, _ = variant
         identifiers, timestamps = _stream()
-        native = create_detector(VARIANTS[name])
-        adapted = create_detector(VARIANTS[name])
+        native = VARIANTS[name]()
+        observed = VARIANTS[name]()
         try:
-            observe = wrap_timed(adapted).observe
-            if name in TIMED:
-                expected = [
-                    native.process_at(int(i), float(t))
-                    for i, t in zip(identifiers, timestamps)
-                ]
-            else:
-                expected = [native.process(int(i)) for i in identifiers]
+            scalar = _native(native)
+            expected = [
+                scalar(int(i), float(t)) for i, t in zip(identifiers, timestamps)
+            ]
             got = [
-                observe(int(i), float(t))
+                observed.observe(int(i), float(t))
                 for i, t in zip(identifiers, timestamps)
             ]
             assert got == expected
         finally:
             _close(native)
-            _close(adapted)
+            _close(observed)
 
     def test_observe_batch_matches_observe(self, variant):
         name, _ = variant
         identifiers, timestamps = _stream()
-        scalar_det = create_detector(VARIANTS[name])
-        batch_det = create_detector(VARIANTS[name])
+        scalar = VARIANTS[name]()
+        batch = VARIANTS[name]()
         try:
-            scalar = wrap_timed(scalar_det)
-            batch = wrap_timed(batch_det)
             expected = np.array(
                 [
                     scalar.observe(int(i), float(t))
@@ -147,40 +231,32 @@ class TestProtocolConformance:
                 ],
                 dtype=bool,
             )
-            got = np.asarray(
-                batch.observe_batch(identifiers, timestamps), dtype=bool
-            )
+            got = np.asarray(batch.observe_batch(identifiers, timestamps), dtype=bool)
             assert (got == expected).all()
         finally:
-            _close(scalar_det)
-            _close(batch_det)
+            _close(scalar)
+            _close(batch)
 
 
-class TestTimedAdapter:
-    def test_wrap_is_idempotent(self):
-        detector = create_detector(VARIANTS["tbf"])
-        adapter = wrap_timed(detector)
-        assert wrap_timed(adapter) is adapter
-        assert adapter.base is detector
-
+class TestContract:
     def test_counted_ignores_timestamp(self):
-        adapter = wrap_timed(create_detector(VARIANTS["tbf"]))
-        assert adapter.observe(7) is False
-        assert adapter.observe(7, timestamp=123.0) is True
+        detector = VARIANTS["tbf"]()
+        assert detector.observe(7) is False
+        assert detector.observe(7, timestamp=123.0) is True
 
     def test_timed_requires_timestamp(self):
-        adapter = wrap_timed(create_detector(VARIANTS["tbf-time"]))
-        with pytest.raises(ConfigurationError):
-            adapter.observe(7)
-        with pytest.raises(ConfigurationError):
-            adapter.observe_batch(np.array([7], dtype=np.uint64))
-
-    def test_rejects_shapeless_object(self):
-        with pytest.raises(ConfigurationError):
-            wrap_timed(object())
+        for name in sorted(TIMED):
+            detector = VARIANTS[name]()
+            try:
+                with pytest.raises(ConfigurationError):
+                    detector.observe(7)
+                with pytest.raises(ConfigurationError):
+                    detector.observe_batch(np.array([7], dtype=np.uint64))
+            finally:
+                _close(detector)
 
     def test_scalar_fallback_without_batch_method(self):
-        class Scalar:
+        class Scalar(CountBasedDetector):
             def __init__(self):
                 self.seen = set()
 
@@ -189,17 +265,20 @@ class TestTimedAdapter:
                 self.seen.add(identifier)
                 return duplicate
 
-        adapter = wrap_timed(Scalar())
-        verdicts = adapter.observe_batch(
-            np.array([1, 2, 1, 3, 2], dtype=np.uint64)
-        )
+        class TimedScalar(TimeBasedDetector):
+            def __init__(self):
+                self.last = {}
+
+            def process_at(self, identifier, timestamp):
+                duplicate = timestamp - self.last.get(identifier, -10.0) < 10.0
+                if not duplicate:
+                    self.last[identifier] = timestamp
+                return duplicate
+
+        identifiers = np.array([1, 2, 1, 3, 2], dtype=np.uint64)
+        verdicts = Scalar().observe_batch(identifiers)
         assert list(verdicts) == [False, False, True, False, True]
-
-    def test_checkpoint_state_fallback(self):
-        # A legacy detector without checkpoint_state still checkpoints
-        # through the adapter (via the registry dispatch).
-        from repro.core import TBFDetector
-
-        detector = TBFDetector(64, 1024, 4, seed=3)
-        adapter = wrap_timed(detector)
-        assert isinstance(adapter.checkpoint_state(), bytes)
+        verdicts = TimedScalar().observe_batch(
+            identifiers, np.array([0.0, 1.0, 2.0, 3.0, 20.0])
+        )
+        assert list(verdicts) == [False, False, True, False, False]

@@ -18,6 +18,7 @@ from repro import (
 )
 from repro.adnet import competitor_botnet
 from repro.baselines import ExactDetector
+from repro.core import CountBasedDetector
 from repro.detection import AlertEngine, default_rules
 from repro.streams import (
     DEFAULT_SCHEME,
@@ -161,7 +162,7 @@ def test_budget_protection_under_attack():
         pipeline.run(clicks)
         return network.advertisers.get(0).remaining_budget
 
-    class NoDetection:
+    class NoDetection(CountBasedDetector):
         def process(self, identifier):
             return False
 

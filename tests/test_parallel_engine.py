@@ -1,7 +1,7 @@
 """Tests for the multi-process parallel detection engine.
 
-The contract under test: a ``ParallelShardedDetector`` /
-``ParallelTimeShardedDetector`` is observationally *bit-identical* to
+The contract under test: a ``ParallelShardedDetector`` (of either time
+model) is observationally *bit-identical* to
 the single-process sharded detector it wraps — same verdicts in stream
 order, same per-shard checkpoint blobs, same summed operation counters —
 while executing each shard in its own worker process over shared-memory
@@ -18,32 +18,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.checkpoint import load_detector, save_detector
-from repro.detection.sharded import (
-    FailoverPolicy,
-    ShardedDetector,
-    TimeShardedDetector,
-    route_batch,
-)
+from repro.detection.sharded import FailoverPolicy, ShardedDetector, route_batch
 from repro.errors import ConfigurationError, ParallelError
-from repro.parallel import (
-    BatchRing,
-    ParallelShardedDetector,
-    ParallelTimeShardedDetector,
-    lift_sharded,
-)
+from repro.parallel import BatchRing, ParallelShardedDetector, lift_sharded
+from tests.fleets import tbf_fleet, timed_tbf_fleet
 
 START_METHOD = os.environ.get("REPRO_PARALLEL_START_METHOD") or None
 
 
 def make_pair(num_shards, seed=1, window=64, entries=4096, num_hashes=4, **options):
     """A (reference, parallel) pair built from identical configs."""
-    reference = ShardedDetector._of_tbf(window, num_shards, entries, num_hashes, seed=seed)
-    parallel = ParallelShardedDetector._of_tbf(
-        window,
-        num_shards,
-        total_entries=entries,
-        num_hashes=num_hashes,
-        seed=seed,
+    reference = tbf_fleet(window, num_shards, entries, num_hashes, seed=seed)
+    parallel = ParallelShardedDetector(
+        tbf_fleet(window, num_shards, entries, num_hashes, seed=seed),
         start_method=START_METHOD,
         slot_items=512,
         **options,
@@ -131,7 +118,7 @@ class TestEquivalence:
             for _ in range(4):
                 ids = rng.integers(0, 400, size=2500, dtype=np.uint64)
                 assert np.array_equal(
-                    reference.process_batch(ids), parallel.process_batch(ids)
+                    reference.observe_batch(ids), parallel.observe_batch(ids)
                 )
             assert parallel.op_counts() == sum_op_counts(reference)
             for shard in range(num_shards):
@@ -147,7 +134,7 @@ class TestEquivalence:
         rng = np.random.default_rng(3)
         try:
             for identifier in rng.integers(0, 50, size=300, dtype=np.uint64):
-                assert reference.process(int(identifier)) == parallel.process(
+                assert reference.observe(int(identifier)) == parallel.observe(
                     int(identifier)
                 )
         finally:
@@ -160,15 +147,15 @@ class TestEquivalence:
         ids = rng.integers(0, 2000, size=30_000, dtype=np.uint64)
         try:
             assert np.array_equal(
-                reference.process_batch(ids), parallel.process_batch(ids)
+                reference.observe_batch(ids), parallel.observe_batch(ids)
             )
         finally:
             parallel.close()
 
     def test_time_based_equivalence(self):
-        reference = TimeShardedDetector._of_tbf(10.0, 8, 3, 4096, 4, seed=2)
-        parallel = ParallelTimeShardedDetector._of_tbf(
-            10.0, 8, 3, total_entries=4096, num_hashes=4, seed=2,
+        reference = timed_tbf_fleet(10.0, 8, 3, 4096, 4, seed=2)
+        parallel = ParallelShardedDetector(
+            timed_tbf_fleet(10.0, 8, 3, 4096, 4, seed=2),
             start_method=START_METHOD, slot_items=256,
         )
         rng = np.random.default_rng(8)
@@ -176,8 +163,8 @@ class TestEquivalence:
             timestamps = np.sort(rng.uniform(0.0, 60.0, size=6000))
             ids = rng.integers(0, 500, size=6000, dtype=np.uint64)
             assert np.array_equal(
-                reference.process_batch_at(ids, timestamps),
-                parallel.process_batch_at(ids, timestamps),
+                reference.observe_batch(ids, timestamps),
+                parallel.observe_batch(ids, timestamps),
             )
             for shard in range(3):
                 assert parallel.checkpoint_shard(shard) == reference.checkpoint_shard(
@@ -191,8 +178,8 @@ class TestEquivalence:
         rng = np.random.default_rng(4)
         ids = rng.integers(0, 300, size=5000, dtype=np.uint64)
         try:
-            reference.process_batch(ids)
-            parallel.process_batch(ids)
+            reference.observe_batch(ids)
+            parallel.observe_batch(ids)
         finally:
             parallel.close(sync=True)
         for expected, synced in zip(reference.shards, parallel.base.shards):
@@ -218,7 +205,7 @@ class TestEquivalence:
         ids = rng.integers(0, universe, size=length, dtype=np.uint64)
         try:
             assert np.array_equal(
-                reference.process_batch(ids), parallel.process_batch(ids)
+                reference.observe_batch(ids), parallel.observe_batch(ids)
             )
             assert parallel.op_counts() == sum_op_counts(reference)
             for shard in range(workers):
@@ -240,8 +227,8 @@ class TestFleetCheckpoint:
         warmup = rng.integers(0, 300, size=4000, dtype=np.uint64)
         more = rng.integers(0, 300, size=2000, dtype=np.uint64)
         try:
-            reference.process_batch(warmup)
-            parallel.process_batch(warmup)
+            reference.observe_batch(warmup)
+            parallel.observe_batch(warmup)
             blob = save_detector(parallel)  # dispatches to checkpoint()
         finally:
             parallel.close()
@@ -249,7 +236,7 @@ class TestFleetCheckpoint:
         assert isinstance(restored, ParallelShardedDetector)
         try:
             assert np.array_equal(
-                reference.process_batch(more), restored.process_batch(more)
+                reference.observe_batch(more), restored.observe_batch(more)
             )
             assert restored.shard_arrivals() == reference.shard_arrivals()
         finally:
@@ -278,8 +265,8 @@ class TestFleetCheckpoint:
         rng = np.random.default_rng(23)
         ids = rng.integers(0, 700, size=9000, dtype=np.uint64)
         try:
-            reference.process_batch(ids)
-            parallel.process_batch(ids)
+            reference.observe_batch(ids)
+            parallel.observe_batch(ids)
             from repro.detection.sharded import unpack_frame
 
             header, payload = unpack_frame(parallel.checkpoint())
@@ -313,7 +300,7 @@ class TestWorkerDeath:
                 if index == 3:
                     os.kill(parallel.worker_pids()[1], signal.SIGKILL)
                 assert np.array_equal(
-                    reference.process_batch(chunk), parallel.process_batch(chunk)
+                    reference.observe_batch(chunk), parallel.observe_batch(chunk)
                 )
             assert parallel.worker_deaths >= 1
             assert parallel.worker_respawns >= 1
@@ -342,7 +329,7 @@ class TestWorkerDeath:
                     for pid in parallel.worker_pids():
                         os.kill(pid, signal.SIGKILL)
                 assert np.array_equal(
-                    reference.process_batch(chunk), parallel.process_batch(chunk)
+                    reference.observe_batch(chunk), parallel.observe_batch(chunk)
                 )
             assert parallel.op_counts() == sum_op_counts(reference)
         finally:
@@ -356,9 +343,9 @@ class TestWorkerDeath:
         first = rng.integers(0, 400, size=1000, dtype=np.uint64)
         second = rng.integers(0, 400, size=1000, dtype=np.uint64)
         try:
-            parallel.process_batch(first)
+            parallel.observe_batch(first)
             os.kill(parallel.worker_pids()[0], signal.SIGKILL)
-            verdicts = parallel.process_batch(second)
+            verdicts = parallel.observe_batch(second)
             assert parallel.is_degraded
             assert 0 in parallel.degraded_shards()
             shard_of = route_batch(second, 3)
@@ -378,7 +365,7 @@ class TestWorkerDeath:
         ids = rng.integers(0, 100, size=500, dtype=np.uint64)
         try:
             os.kill(parallel.worker_pids()[1], signal.SIGKILL)
-            verdicts = parallel.process_batch(ids)
+            verdicts = parallel.observe_batch(ids)
             shard_of = route_batch(ids, 2)
             assert verdicts[shard_of == 1].all()
         finally:
@@ -391,13 +378,13 @@ class TestWorkerDeath:
         second = rng.integers(0, 200, size=1000, dtype=np.uint64)
         third = rng.integers(0, 200, size=1000, dtype=np.uint64)
         try:
-            reference.process_batch(first)
-            parallel.process_batch(first)
+            reference.observe_batch(first)
+            parallel.observe_batch(first)
 
             reference.fail_shard(1, FailoverPolicy.FAIL_OPEN)
             parallel.fail_worker(1, FailoverPolicy.FAIL_OPEN)
             assert np.array_equal(
-                reference.process_batch(second), parallel.process_batch(second)
+                reference.observe_batch(second), parallel.observe_batch(second)
             )
 
             # Restore both from the same snapshot taken before failure.
@@ -406,24 +393,24 @@ class TestWorkerDeath:
             par_missed = parallel.restore_worker(1, blob)
             assert ref_missed == par_missed
             assert np.array_equal(
-                reference.process_batch(third), parallel.process_batch(third)
+                reference.observe_batch(third), parallel.observe_batch(third)
             )
         finally:
             parallel.close()
 
     def test_worker_data_error_propagates(self):
-        parallel = ParallelTimeShardedDetector._of_tbf(
-            10.0, 8, 2, total_entries=2048, num_hashes=4, seed=1,
+        parallel = ParallelShardedDetector(
+            timed_tbf_fleet(10.0, 8, 2, 2048, 4, seed=1),
             start_method=START_METHOD,
         )
         try:
-            parallel.process_batch_at(
+            parallel.observe_batch(
                 np.array([1, 2, 3], dtype=np.uint64), np.array([5.0, 5.5, 6.0])
             )
             with pytest.raises(ParallelError, match="worker"):
                 # Regressing timestamp: deterministic data error — replay
                 # would fail identically, so it must surface, not respawn.
-                parallel.process_batch_at(
+                parallel.observe_batch(
                     np.array([4], dtype=np.uint64), np.array([0.5])
                 )
         finally:
@@ -440,8 +427,8 @@ class TestTelemetry:
         rng = np.random.default_rng(31)
         ids = rng.integers(0, 250, size=4000, dtype=np.uint64)
         try:
-            reference.process_batch(ids)
-            parallel.process_batch(ids)
+            reference.observe_batch(ids)
+            parallel.observe_batch(ids)
             snapshot = parallel.telemetry_snapshot()
             expected = reference.telemetry_snapshot()
             assert snapshot["counters"]["elements"] == expected["counters"]["elements"]
@@ -477,7 +464,7 @@ class TestTelemetry:
         try:
             session.instrument_detector(parallel)
             rng = np.random.default_rng(2)
-            parallel.process_batch(rng.integers(0, 100, size=500, dtype=np.uint64))
+            parallel.observe_batch(rng.integers(0, 100, size=500, dtype=np.uint64))
             session.emit()
             rendered = session.registry.to_prometheus()
             assert "repro_detector_gauge" in rendered
@@ -492,7 +479,7 @@ class TestTelemetry:
 
 class TestLift:
     def test_lift_shard_count_mismatch(self):
-        sharded = ShardedDetector._of_tbf(64, 2, 2048, 4, seed=1)
+        sharded = tbf_fleet(64, 2, 2048, 4, seed=1)
         with pytest.raises(ConfigurationError, match="2 shards"):
             lift_sharded(sharded, workers=4)
 
@@ -510,7 +497,7 @@ class TestLift:
             lift_sharded(TBFDetector(64, 1024, 4, seed=1))
 
     def test_engine_rejects_bad_options(self):
-        sharded = ShardedDetector._of_tbf(64, 2, 2048, 4, seed=1)
+        sharded = tbf_fleet(64, 2, 2048, 4, seed=1)
         with pytest.raises(ConfigurationError, match="slots"):
             ParallelShardedDetector(sharded, slots=1)
         with pytest.raises(ConfigurationError, match="max_respawns"):

@@ -11,12 +11,12 @@ import pytest
 
 from repro.core.checkpoint import save_detector
 from repro.detection import DetectionPipeline
-from repro.detection.sharded import ShardedDetector
 from repro.errors import ConfigurationError, StreamError
 from repro.parallel import ParallelShardedDetector
 from repro.resilience import CheckpointStore, FaultInjector, InjectedCrash, SupervisedPipeline
 from repro.streams import load_clicks, read_batches, write_clicks_csv, write_clicks_jsonl
 
+from tests.fleets import tbf_fleet
 from tests.test_resilience import make_billing, make_stream
 
 
@@ -80,11 +80,11 @@ class TestPipelineWorkers:
     def test_workers_matches_single_process_run(self):
         clicks = make_stream(400)
         reference = DetectionPipeline(
-            ShardedDetector._of_tbf(64, 2, 2048, 4, seed=3), billing=make_billing()
+            tbf_fleet(64, 2, 2048, 4, seed=3), billing=make_billing()
         )
         expected = reference.run_batch(clicks)
 
-        detector = ShardedDetector._of_tbf(64, 2, 2048, 4, seed=3)
+        detector = tbf_fleet(64, 2, 2048, 4, seed=3)
         pipeline = DetectionPipeline(detector, billing=make_billing())
         result = pipeline.run_batch(clicks, workers=2)
 
@@ -103,7 +103,7 @@ class TestPipelineWorkers:
             assert save_detector(expected_shard) == save_detector(synced)
 
     def test_workers_requires_matching_shard_count(self):
-        pipeline = DetectionPipeline(ShardedDetector._of_tbf(64, 2, 2048, 4, seed=3))
+        pipeline = DetectionPipeline(tbf_fleet(64, 2, 2048, 4, seed=3))
         with pytest.raises(ConfigurationError, match="2 shards"):
             pipeline.run_batch(make_stream(10), workers=4)
 
@@ -116,14 +116,14 @@ class TestPipelineWorkers:
 
     def test_already_parallel_detector_passes_through(self):
         clicks = make_stream(150)
-        engine = ParallelShardedDetector(ShardedDetector._of_tbf(64, 2, 2048, 4, seed=3))
+        engine = ParallelShardedDetector(tbf_fleet(64, 2, 2048, 4, seed=3))
         pipeline = DetectionPipeline(engine)
         try:
             result = pipeline.run_batch(clicks, workers=2)
             assert result.processed == len(clicks)
             assert pipeline.detector is engine  # not closed, not replaced
             # Engine still serves traffic afterwards.
-            engine.process_batch(np.arange(10, dtype=np.uint64))
+            engine.observe_batch(np.arange(10, dtype=np.uint64))
         finally:
             engine.close()
 
@@ -133,7 +133,7 @@ class TestPipelineWorkers:
 # ----------------------------------------------------------------------
 
 def make_fleet():
-    return ParallelShardedDetector(ShardedDetector._of_tbf(64, 2, 2048, 4, seed=3))
+    return ParallelShardedDetector(tbf_fleet(64, 2, 2048, 4, seed=3))
 
 
 class TestSupervisedFleet:
@@ -235,12 +235,35 @@ class TestCliWorkers:
         from repro.detection import DetectorSpec, WindowSpec, create_detector
 
         tbf = create_detector(DetectorSpec(algorithm="tbf", window=WindowSpec("sliding", 64, 1), seed=0, target_fp=0.001))
-        sharded = ShardedDetector._of_tbf(
-            64, 2, total_entries=tbf.num_entries, num_hashes=tbf.num_hashes, seed=0
-        )
+        sharded = tbf_fleet(64, 2, tbf.num_entries, tbf.num_hashes, seed=0)
         pipeline = DetectionPipeline(sharded)
         duplicates = sum(pipeline.process_click(click) for click in clicks)
         assert f"{len(clicks)} clicks; {duplicates} duplicates" in parallel_out
+
+    def test_detect_one_worker_matches_classify_stream(
+        self, stream_file, capsys
+    ):
+        # The default --workers 1 runs the batch path in-process; it must
+        # count exactly the duplicates the scalar classifier finds.
+        from repro.cli import main
+        from repro.detection import (
+            DetectorSpec,
+            WindowSpec,
+            classify_stream,
+            create_detector,
+        )
+
+        assert main(["detect", "--window", "64", "--chunk-size", "37",
+                     str(stream_file)]) == 0
+        out = capsys.readouterr().out
+        assert "workers]" not in out
+        clicks = load_clicks(stream_file)
+        detector = create_detector(DetectorSpec(
+            algorithm="tbf", window=WindowSpec("sliding", 64), target_fp=0.001
+        ))
+        duplicates = sum(classify_stream(clicks, detector))
+        assert duplicates > 0
+        assert f"{len(clicks)} clicks; {duplicates} duplicates (" in out
 
     def test_detect_workers_rejects_non_tbf(self, stream_file, capsys):
         from repro.cli import main

@@ -5,6 +5,8 @@ offline verdict parity, admission-control backpressure, malformed-frame
 dead-lettering, and drain-with-checkpoint restarts that lose no clicks.
 """
 
+import asyncio
+import logging
 import socket
 import time
 
@@ -485,6 +487,42 @@ class TestDrainAndCheckpoint:
             thread.stop(timeout=15.0)
         assert thread.server.processed_clicks == 6_000
         assert thread.server._inflight_bytes == 0
+
+    def test_drain_right_after_client_close_keeps_bookkeeping(
+        self, caplog, monkeypatch
+    ):
+        # One batch, collect, close, drain at once.  drain() may cancel a
+        # handler that is already waiting for its socket to close; with
+        # SIGTERM right after the close (``repro serve``) that happens in
+        # about half the runs.  Force the interleaving: cancel the
+        # handler's own task as it enters wait_closed(), as drain() does.
+        original = asyncio.StreamWriter.wait_closed
+
+        async def cancelled_while_closing(writer):
+            asyncio.current_task().cancel()
+            await original(writer)
+
+        monkeypatch.setattr(
+            asyncio.StreamWriter, "wait_closed", cancelled_while_closing
+        )
+        session = TelemetrySession()
+        spec = DetectorSpec("tbf", WindowSpec("sliding", 65536), target_fp=1e-3)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            thread = ServerThread(create_detector(spec), telemetry=session).start()
+            try:
+                with ServeClient("127.0.0.1", thread.port) as client:
+                    client.submit(np.arange(4_096, dtype=np.uint64))
+                    client.collect()
+                time.sleep(0.2)  # let the handler reach its socket close
+            finally:
+                thread.stop()
+        gauges = {
+            entry["name"]: entry["value"]
+            for entry in session.registry.snapshot()["gauges"]
+        }
+        assert gauges["repro_serve_connections_active"] == 0
+        assert not thread.server._handlers
+        assert "CancelledError" not in caplog.text
 
     def test_corrupt_latest_checkpoint_falls_back(self, tmp_path):
         identifiers, _ = _stream(count=4_000)

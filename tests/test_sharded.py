@@ -6,9 +6,10 @@ import pytest
 
 from repro.baselines import TimeBasedExactDetector
 from repro.core import TBFDetector, TimeBasedTBFDetector
-from repro.detection import ShardedDetector, TimeShardedDetector, default_router
+from repro.detection import ShardedDetector, default_router
 from repro.errors import ConfigurationError
 from repro.windows import TimeBasedSlidingWindow
+from tests.fleets import tbf_fleet, timed_tbf_fleet
 
 
 class TestRouter:
@@ -32,30 +33,30 @@ class TestShardedDetector:
         with pytest.raises(ConfigurationError):
             ShardedDetector([])
         with pytest.raises(ConfigurationError):
-            ShardedDetector._of_tbf(1024, 0, 1 << 14)
+            tbf_fleet(1024, 0, 1 << 14)
 
     def test_immediate_repeat_detected(self):
-        sharded = ShardedDetector._of_tbf(1024, 4, 1 << 16, seed=1)
-        assert sharded.process(42) is False
-        assert sharded.process(42) is True
+        sharded = tbf_fleet(1024, 4, 1 << 16, seed=1)
+        assert sharded.observe(42) is False
+        assert sharded.observe(42) is True
         assert sharded.query(42) is True
 
     def test_repeats_route_to_same_shard(self):
-        sharded = ShardedDetector._of_tbf(1024, 8, 1 << 16, seed=1)
+        sharded = tbf_fleet(1024, 8, 1 << 16, seed=1)
         rng = random.Random(3)
         for _ in range(2000):
-            sharded.process(rng.randrange(500))
+            sharded.observe(rng.randrange(500))
         # Every identifier's state lives in exactly one shard: a repeat
         # is found regardless of what other shards saw.
-        assert sharded.process(12345) is False
+        assert sharded.observe(12345) is False
         for filler in range(10_000, 10_050):
-            sharded.process(filler)
-        assert sharded.process(12345) is True
+            sharded.observe(filler)
+        assert sharded.observe(12345) is True
 
     def test_memory_and_shard_accounting(self):
-        sharded = ShardedDetector._of_tbf(1024, 4, 1 << 16, seed=1)
+        sharded = tbf_fleet(1024, 4, 1 << 16, seed=1)
         for identifier in range(4000):
-            sharded.process(identifier)
+            sharded.observe(identifier)
         assert sharded.num_shards == 4
         assert sum(sharded.shard_arrivals()) == 4000
         assert 1.0 <= sharded.load_imbalance() < 1.3
@@ -64,23 +65,29 @@ class TestShardedDetector:
     def test_local_window_approximates_global(self):
         # A duplicate at small global lag is always caught; only lags
         # near the window boundary are subject to shard-local skew.
-        sharded = ShardedDetector._of_tbf(1024, 4, 1 << 18, seed=2)
+        sharded = tbf_fleet(1024, 4, 1 << 18, seed=2)
         rng = random.Random(5)
-        sharded.process(777)
+        sharded.observe(777)
         for _ in range(100):  # global lag 100 << N=1024
-            sharded.process(rng.randrange(10**9, 2 * 10**9))
-        assert sharded.process(777) is True
+            sharded.observe(rng.randrange(10**9, 2 * 10**9))
+        assert sharded.observe(777) is True
 
     def test_empty_imbalance(self):
-        assert ShardedDetector._of_tbf(64, 2, 1024).load_imbalance() == 1.0
+        assert tbf_fleet(64, 2, 1024).load_imbalance() == 1.0
+
+    def test_refuses_mixed_time_models(self):
+        with pytest.raises(ConfigurationError, match="time model"):
+            ShardedDetector(
+                [TBFDetector(64, 1024, 4), TimeBasedTBFDetector(8.0, 8, 1024, 4)]
+            )
 
 
-class TestTimeShardedDetector:
+class TestTimeBasedSharding:
     def test_matches_exact_semantics(self):
         # Time-based sharding is exact: compare against the exact
         # labeler at unit-aligned timestamps.
         duration, resolution = 16.0, 16
-        sharded = TimeShardedDetector._of_tbf(
+        sharded = timed_tbf_fleet(
             duration, resolution, 4, 1 << 18, num_hashes=8, seed=3
         )
         exact = TimeBasedExactDetector(TimeBasedSlidingWindow(duration))
@@ -89,17 +96,17 @@ class TestTimeShardedDetector:
         for _ in range(1500):
             now += float(rng.choice([0.0, 1.0, 2.0]))
             identifier = rng.randrange(80)
-            assert sharded.process_at(identifier, now) == exact.process_at(
+            assert sharded.observe(identifier, now) == exact.process_at(
                 identifier, now
             )
 
     def test_memory_split_across_shards(self):
-        sharded = TimeShardedDetector._of_tbf(10.0, 10, 4, 1 << 16, seed=1)
+        sharded = timed_tbf_fleet(10.0, 10, 4, 1 << 16, seed=1)
         single = TimeBasedTBFDetector(10.0, 10, 1 << 16, seed=1)
         assert sharded.memory_bits <= single.memory_bits * 1.1
 
     def test_needs_shards(self):
         with pytest.raises(ConfigurationError):
-            TimeShardedDetector([])
+            ShardedDetector([])
         with pytest.raises(ConfigurationError):
-            TimeShardedDetector._of_tbf(10.0, 10, 0, 1024)
+            timed_tbf_fleet(10.0, 10, 0, 1024)

@@ -6,23 +6,19 @@ import random
 import pytest
 
 from repro.core import CheckpointError, load_detector, save_detector
-from repro.detection import (
-    DetectionPipeline,
-    FailoverPolicy,
-    ShardedDetector,
-    TimeShardedDetector,
-)
+from repro.detection import DetectionPipeline, FailoverPolicy, ShardedDetector
 from repro.errors import ConfigurationError
 from repro.resilience import SupervisedPipeline
+from tests.fleets import tbf_fleet, timed_tbf_fleet
 
 
 def drive(detector, count, seed, universe=80):
     rng = random.Random(seed)
-    return [detector.process(rng.randrange(universe)) for _ in range(count)]
+    return [detector.observe(rng.randrange(universe)) for _ in range(count)]
 
 
 def test_fail_open_accepts_and_fail_closed_rejects_everything():
-    detector = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+    detector = tbf_fleet(64, 4, 4096, seed=1)
     drive(detector, 200, seed=2)
 
     detector.fail_shard(1, FailoverPolicy.FAIL_OPEN)
@@ -31,7 +27,7 @@ def test_fail_open_accepts_and_fail_closed_rejects_everything():
     for _ in range(300):
         identifier = rng.randrange(80)
         shard = detector.router(identifier)
-        verdict = detector.process(identifier)
+        verdict = detector.observe(identifier)
         if shard == 1:
             assert verdict is False  # fail-open: everything accepted
         elif shard == 2:
@@ -49,8 +45,8 @@ def test_restore_shard_resumes_exact_verdicts():
     # Two detectors fed identically; one loses a shard and rebuilds it
     # from a checkpoint taken at that instant.  With no clicks processed
     # during the degraded window, verdicts must stay identical forever.
-    healthy = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
-    failing = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+    healthy = tbf_fleet(64, 4, 4096, seed=1)
+    failing = tbf_fleet(64, 4, 4096, seed=1)
     assert drive(healthy, 300, seed=5) == drive(failing, 300, seed=5)
 
     blob = failing.checkpoint_shard(2)
@@ -62,8 +58,8 @@ def test_restore_shard_resumes_exact_verdicts():
 
 
 def test_degraded_window_damage_is_bounded_to_one_shard():
-    healthy = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
-    failing = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+    healthy = tbf_fleet(64, 4, 4096, seed=1)
+    failing = tbf_fleet(64, 4, 4096, seed=1)
     drive(healthy, 300, seed=5)
     drive(failing, 300, seed=5)
 
@@ -73,7 +69,7 @@ def test_degraded_window_damage_is_bounded_to_one_shard():
     disagreements = 0
     for _ in range(200):
         x = rng_a.randrange(80)
-        if healthy.process(x) != failing.process(rng_b.randrange(80)):
+        if healthy.observe(x) != failing.observe(rng_b.randrange(80)):
             assert failing.router(x) == 2  # only the degraded shard differs
             disagreements += 1
     assert disagreements > 0
@@ -81,7 +77,7 @@ def test_degraded_window_damage_is_bounded_to_one_shard():
 
 
 def test_restore_shard_type_mismatch_rejected():
-    detector = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+    detector = tbf_fleet(64, 4, 4096, seed=1)
     from repro.core import GBFDetector
 
     wrong = save_detector(GBFDetector(64, 8, 1024, 4, seed=3))
@@ -90,7 +86,7 @@ def test_restore_shard_type_mismatch_rejected():
 
 
 def test_shard_index_validated():
-    detector = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+    detector = tbf_fleet(64, 4, 4096, seed=1)
     with pytest.raises(ConfigurationError):
         detector.fail_shard(4)
     with pytest.raises(ConfigurationError):
@@ -98,19 +94,19 @@ def test_shard_index_validated():
 
 
 def test_time_sharded_failover():
-    detector = TimeShardedDetector._of_tbf(30.0, 8, 4, 8192, seed=1)
+    detector = timed_tbf_fleet(30.0, 8, 4, 8192, seed=1)
     rng = random.Random(2)
     timestamp = 0.0
     for _ in range(300):
         timestamp += rng.random() * 0.2
-        detector.process_at(rng.randrange(80), timestamp)
+        detector.observe(rng.randrange(80), timestamp)
 
     blob = detector.checkpoint_shard(0)
     detector.fail_shard(0, FailoverPolicy.FAIL_CLOSED)
     for _ in range(50):
         timestamp += rng.random() * 0.2
         identifier = rng.randrange(80)
-        verdict = detector.process_at(identifier, timestamp)
+        verdict = detector.observe(identifier, timestamp)
         if detector.router(identifier) == 0:
             assert verdict is True
     assert detector.restore_shard(0, blob) > 0
@@ -118,7 +114,7 @@ def test_time_sharded_failover():
 
 
 def test_whole_sharded_detector_checkpoint_preserves_degradation():
-    detector = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+    detector = tbf_fleet(64, 4, 4096, seed=1)
     drive(detector, 300, seed=5)
     detector.fail_shard(3, FailoverPolicy.FAIL_OPEN)
     drive(detector, 50, seed=6)
@@ -145,7 +141,7 @@ def test_custom_router_refused_for_whole_detector_checkpoint():
 def test_supervised_pipeline_surfaces_degraded_window(tmp_path):
     from tests.test_resilience import make_billing, make_stream
 
-    detector = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+    detector = tbf_fleet(64, 4, 4096, seed=1)
     detector.fail_shard(1, FailoverPolicy.FAIL_CLOSED)
     pipeline = DetectionPipeline(detector, billing=make_billing())
     supervisor = SupervisedPipeline(pipeline, tmp_path, checkpoint_every=50)
@@ -175,19 +171,19 @@ def _stream_arrays(count, seed, universe=80):
 def test_batch_failover_matches_scalar_path():
     import numpy as np
 
-    scalar = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
-    batched = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+    scalar = tbf_fleet(64, 4, 4096, seed=1)
+    batched = tbf_fleet(64, 4, 4096, seed=1)
     warmup = _stream_arrays(300, seed=5)
-    assert [scalar.process(int(x)) for x in warmup] == list(
-        batched.process_batch(warmup)
+    assert [scalar.observe(int(x)) for x in warmup] == list(
+        batched.observe_batch(warmup)
     )
 
     # Lose the shard "mid-run": both detectors degrade identically.
     scalar.fail_shard(2, FailoverPolicy.FAIL_OPEN)
     batched.fail_shard(2, FailoverPolicy.FAIL_OPEN)
     after = _stream_arrays(400, seed=6)
-    scalar_verdicts = [scalar.process(int(x)) for x in after]
-    batch_verdicts = batched.process_batch(after)
+    scalar_verdicts = [scalar.observe(int(x)) for x in after]
+    batch_verdicts = batched.observe_batch(after)
     assert scalar_verdicts == [bool(v) for v in batch_verdicts]
 
     # Degraded-window accounting and telemetry agree between the paths.
@@ -204,8 +200,8 @@ def test_batch_failover_matches_scalar_path():
 def test_batch_failover_kill_between_chunks_and_restore():
     import numpy as np
 
-    scalar = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
-    batched = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+    scalar = tbf_fleet(64, 4, 4096, seed=1)
+    batched = tbf_fleet(64, 4, 4096, seed=1)
     chunks = [_stream_arrays(150, seed=s) for s in range(8)]
     blob = None
     for index, chunk in enumerate(chunks):
@@ -217,8 +213,8 @@ def test_batch_failover_kill_between_chunks_and_restore():
             missed_scalar = scalar.restore_shard(1, blob)
             missed_batched = batched.restore_shard(1, blob)
             assert missed_scalar == missed_batched > 0
-        expected = [scalar.process(int(x)) for x in chunk]
-        assert expected == [bool(v) for v in batched.process_batch(chunk)]
+        expected = [scalar.observe(int(x)) for x in chunk]
+        assert expected == [bool(v) for v in batched.observe_batch(chunk)]
     assert not batched.is_degraded
     assert scalar.telemetry_snapshot()["counters"] == (
         batched.telemetry_snapshot()["counters"]
@@ -228,8 +224,8 @@ def test_batch_failover_kill_between_chunks_and_restore():
 def test_time_sharded_batch_failover_matches_scalar_path():
     import numpy as np
 
-    scalar = TimeShardedDetector._of_tbf(30.0, 8, 4, 8192, seed=1)
-    batched = TimeShardedDetector._of_tbf(30.0, 8, 4, 8192, seed=1)
+    scalar = timed_tbf_fleet(30.0, 8, 4, 8192, seed=1)
+    batched = timed_tbf_fleet(30.0, 8, 4, 8192, seed=1)
     rng = random.Random(9)
     timestamp, ids, stamps = 0.0, [], []
     for _ in range(500):
@@ -245,9 +241,9 @@ def test_time_sharded_batch_failover_matches_scalar_path():
             scalar.fail_shard(0, FailoverPolicy.FAIL_CLOSED)
             batched.fail_shard(0, FailoverPolicy.FAIL_CLOSED)
         expected = [
-            scalar.process_at(int(i), float(t))
+            scalar.observe(int(i), float(t))
             for i, t in zip(ids[a:b], stamps[a:b])
         ]
-        got = batched.process_batch_at(ids[a:b], stamps[a:b])
+        got = batched.observe_batch(ids[a:b], stamps[a:b])
         assert expected == [bool(v) for v in got]
     assert scalar.degraded_shards() == batched.degraded_shards()

@@ -31,7 +31,7 @@ from repro.core import (
 )
 from repro.core.checkpoint import unpack_frame
 from repro.detection import DetectionPipeline
-from repro.detection.sharded import FailoverPolicy, ShardedDetector
+from repro.detection.sharded import FailoverPolicy
 from repro.resilience import (
     CheckpointStore,
     FaultInjector,
@@ -45,6 +45,7 @@ from repro.telemetry import (
     TelemetrySession,
     theoretical_fp_bound,
 )
+from tests.fleets import tbf_fleet
 
 DETECTOR_VARIANTS = [
     ("gbf", lambda: GBFDetector(64, 8, 1024, 4, seed=3)),
@@ -61,12 +62,11 @@ DETECTOR_VARIANTS = [
 
 
 def drive(detector, identifiers):
-    """Feed a stream through either detector protocol."""
-    process = getattr(detector, "process", None)
-    if process is not None:
-        return [process(identifier) for identifier in identifiers]
+    """Feed a stream to a detector of either time model."""
+    if not detector.timed:
+        return [detector.observe(identifier) for identifier in identifiers]
     return [
-        detector.process_at(identifier, 0.5 * index)
+        detector.observe(identifier, 0.5 * index)
         for index, identifier in enumerate(identifiers)
     ]
 
@@ -114,7 +114,7 @@ class TestTheoreticalBounds:
         ) is None
 
     def test_sharded_bound_is_worst_shard(self):
-        detector = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+        detector = tbf_fleet(64, 4, 4096, seed=1)
         shard_bounds = [theoretical_fp_bound(shard) for shard in detector.shards]
         assert theoretical_fp_bound(detector) == max(shard_bounds)
 
@@ -217,7 +217,7 @@ class TestDetectorInstrument:
 
 class TestShardedTelemetry:
     def test_snapshot_reports_per_shard_health(self):
-        detector = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+        detector = tbf_fleet(64, 4, 4096, seed=1)
         drive(detector, list(range(40)) * 2)
         detector.fail_shard(2, FailoverPolicy.FAIL_OPEN)
         snapshot = detector.telemetry_snapshot()
@@ -230,7 +230,7 @@ class TestShardedTelemetry:
         assert snapshot["gauges"]["estimated_fp_rate"] == detector.estimated_fp_rate()
 
     def test_failover_transitions_counted(self):
-        detector = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+        detector = tbf_fleet(64, 4, 4096, seed=1)
         registry = MetricsRegistry()
         DetectorInstrument(detector, registry)  # attaches failover counters
         blob = detector.checkpoint_shard(1)
