@@ -42,11 +42,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from test_batch_throughput import WINDOW, compare_paths  # noqa: E402
 
-#: Count-based detectors: the pure-throughput workhorses whose numbers
-#: are stable enough to gate on.  Time-based variants ride along in the
-#: report but never gate — their segment shapes make quick runs noisy.
-GATED = ("gbf", "tbf")
-REPORTED = ("gbf", "tbf", "tbf-jumping", "gbf-time", "tbf-time")
+#: Detectors whose numbers are stable enough to gate on: the count-based
+#: workhorses and the two sliced filters (one run per generation or
+#: time unit).  The time-based GBF/TBF ride along in the report but
+#: never gate — their multi-unit segment shapes make quick runs noisy.
+GATED = ("gbf", "tbf", "apbf", "time-limited-bf")
+REPORTED = (
+    "gbf",
+    "tbf",
+    "tbf-jumping",
+    "gbf-time",
+    "tbf-time",
+    "apbf",
+    "time-limited-bf",
+)
 
 FLOOR = float(os.environ.get("REPRO_BENCH_REGRESSION_FLOOR", "0.8"))
 LATENCY_CEILING = float(os.environ.get("REPRO_BENCH_LATENCY_CEILING", "10"))

@@ -72,7 +72,11 @@ from test_telemetry_overhead import (  # noqa: E402
 #: ``test_adaptive_quality.py``.  Unlike the throughput sections these
 #: numbers are fully deterministic (seeded streams, no timing), so
 #: ``check_regression.py`` gates them tightly across hosts.
-SCHEMA_VERSION = 5
+#:
+#: Schema 6: the ``detectors`` section adds the sliced filters
+#: (``apbf``, ``time-limited-bf``), which ``check_regression.py``
+#: reads and gates.
+SCHEMA_VERSION = 6
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,4 @@
-"""Scalar vs vectorized batch throughput for all five detectors.
+"""Scalar vs vectorized batch throughput for all seven core detectors.
 
 The batch path (``process_batch`` / ``process_batch_at``) is required to
 be *bit-identical* to the scalar loop — same verdicts, same checkpoint
@@ -24,6 +24,12 @@ from repro.core import (
     TimeBasedTBFDetector,
     save_detector,
 )
+from repro.adaptive import (
+    AgePartitionedBFDetector,
+    TimeLimitedBFDetector,
+    plan_apbf_from_memory,
+    plan_tlbf_from_memory,
+)
 from repro.metrics.throughput import ThroughputResult
 from repro.streams import distinct_stream
 
@@ -38,7 +44,15 @@ DURATION = float(WINDOW)  # time-based twins: one click per second
 SPEEDUP_FLOOR = float(os.environ.get("REPRO_BENCH_SPEEDUP_FLOOR", "5"))
 FLOOR_NAMES = {"gbf", "tbf"}
 
-NAMES = ["gbf", "tbf", "tbf-jumping", "gbf-time", "tbf-time"]
+NAMES = [
+    "gbf",
+    "tbf",
+    "tbf-jumping",
+    "gbf-time",
+    "tbf-time",
+    "apbf",
+    "time-limited-bf",
+]
 
 
 def build_detector(name: str):
@@ -58,6 +72,22 @@ def build_detector(name: str):
     if name == "tbf-time":
         return TimeBasedTBFDetector(
             DURATION, SUBWINDOWS * 16, MEMORY_BITS // 14, NUM_HASHES, seed=1
+        )
+    if name == "apbf":
+        plan = plan_apbf_from_memory(WINDOW, MEMORY_BITS, NUM_HASHES)
+        return AgePartitionedBFDetector(
+            plan.num_required,
+            plan.num_aged,
+            plan.slice_bits,
+            plan.generation_size,
+            seed=1,
+        )
+    if name == "time-limited-bf":
+        plan = plan_tlbf_from_memory(
+            WINDOW, 2 * NUM_HASHES, MEMORY_BITS, NUM_HASHES
+        )
+        return TimeLimitedBFDetector(
+            DURATION, plan.num_required, plan.num_aged, plan.slice_bits, seed=1
         )
     raise ValueError(name)
 
@@ -111,7 +141,7 @@ def compare_paths(name: str, timed: int = TIMED, chunk: int = CHUNK):
     """
     scalar_detector = build_detector(name)
     batch_detector = build_detector(name)
-    timebased = name.endswith("-time")
+    timebased = scalar_detector.timed
 
     warmup = distinct_stream(2 * WINDOW, seed=7).astype(np.uint64)
     segment = distinct_stream(timed, seed=8).astype(np.uint64)

@@ -53,6 +53,7 @@ from ..bitset.words import OperationCounter
 from ..bloom.params import apbf_false_positive_rate, sliced_false_positive_rate
 from ..errors import ConfigurationError, StreamError
 from ..hashing import HashFamily, SplitMixFamily
+from ..core.batch import resolve_inserts, row_run
 from ..core.checkpoint import (
     CheckpointError,
     _family_spec,
@@ -73,28 +74,6 @@ __all__ = [
     "plan_tlbf_for_target",
     "plan_tlbf_from_memory",
 ]
-
-#: First-writer value for slots nobody writes; larger than any row.
-_NO_WRITER = np.iinfo(np.int64).max
-
-
-def _run_of_k(match: "np.ndarray", num_required: int) -> "np.ndarray":
-    """Rows holding ``num_required`` consecutive True columns.
-
-    ``match`` is ``(n, S)`` in logical age order; the running-run
-    column sweep replaces the ``(l + 1) * k`` AND windows with ``S``
-    column ops.
-    """
-    n, num_slices = match.shape
-    run = np.zeros(n, dtype=np.int32)
-    dup = np.zeros(n, dtype=bool)
-    for a in range(num_slices):
-        run += 1
-        run *= match[:, a]
-        if a >= num_required - 1:
-            dup |= run >= num_required
-    return dup
-
 
 class _SlicedFilter:
     """Shared machinery: slice storage, probes, inserts, retirement.
@@ -209,12 +188,11 @@ class _SlicedFilter:
         the ``(n, k)`` young-slice index matrix in logical order, ready
         for :meth:`_apply_inserts`.
 
-        Intra-run interactions are resolved exactly, mirroring
-        :func:`repro.core.batch.resolve_inserts` but with one
-        first-writer table *per young slice* (inserts touch young
-        slices only, and each logical slice has its own hash): a row
-        flips to duplicate when every missing slice of some ``k``-run
-        is covered by an earlier actual inserter.
+        Intra-run interactions are resolved exactly by
+        :func:`repro.core.batch.resolve_inserts` with the run-of-``k``
+        verdict: inserts touch the ``k`` young slices only, and each
+        logical slice has its own hash, so slot ``s`` of young slice
+        ``a`` is entry ``a * m + s`` of one ``k * m`` table.
         """
         n, num_slices = idx.shape
         num_required = self.num_required
@@ -228,76 +206,18 @@ class _SlicedFilter:
             match0[:, age] = bits & np.uint64(1)
         young = idx[:, order[:num_required]]
 
-        duplicate = _run_of_k(match0, num_required)
-        inserters = ~duplicate
-        if not inserters.any() or n == 1:
-            return duplicate, inserters, young
-
-        rows = np.arange(n, dtype=np.int64)
+        duplicate = row_run(match0, num_required)
+        if n == 1 or duplicate.all():
+            return duplicate, ~duplicate, young
         m = self.slice_bits
-        # Optimistic pre-pass: assume every non-duplicate inserts.
-        first_writer = np.full((num_required, m), _NO_WRITER, dtype=np.int64)
-        vals = np.where(inserters, rows, _NO_WRITER)
-        for age in range(num_required):
-            np.minimum.at(first_writer[age], young[:, age], vals)
-        potential = match0.copy()
-        for age in range(num_required):
-            potential[:, age] |= first_writer[age][young[:, age]] < rows
-        maybe = _run_of_k(potential, num_required)
-        maybe &= inserters
-        if not maybe.any():
-            # Nobody flips: every candidate inserts.
-            return duplicate, inserters, young
-
-        # Definite inserters' writes hold under every resolution.
-        certain = np.full((num_required, m), _NO_WRITER, dtype=np.int64)
-        definite = inserters & ~maybe
-        if definite.any():
-            vals = np.where(definite, rows, _NO_WRITER)
-            for age in range(num_required):
-                np.minimum.at(certain[age], young[:, age], vals)
-        walk_rows = np.nonzero(maybe)[0]
-        covered = match0[walk_rows].copy()
-        for age in range(num_required):
-            covered[:, age] |= certain[age][young[walk_rows, age]] < walk_rows
-        # Rows duplicate under pre-run state + definite writers alone
-        # flip under every resolution, without walking (and, flipping,
-        # write nothing later rows could need).
-        sure = _run_of_k(covered, num_required)
-        if sure.any():
-            sure_rows = walk_rows[sure]
-            duplicate[sure_rows] = True
-            inserters[sure_rows] = False
-            walk_rows = walk_rows[~sure]
-
-        if walk_rows.size:
-            written = [bytearray(m) for _ in range(num_required)]
-            match_list = match0[walk_rows].tolist()
-            young_list = young[walk_rows].tolist()
-            for i, row in enumerate(walk_rows.tolist()):
-                match_row = match_list[i]
-                young_row = young_list[i]
-                run = 0
-                dup = False
-                for age in range(num_slices):
-                    hit = match_row[age]
-                    if not hit and age < num_required:
-                        slot = young_row[age]
-                        if int(certain[age][slot]) < row or written[age][slot]:
-                            hit = True
-                    if hit:
-                        run += 1
-                        if run >= num_required:
-                            dup = True
-                            break
-                    else:
-                        run = 0
-                if dup:
-                    duplicate[row] = True
-                    inserters[row] = False
-                else:
-                    for age in range(num_required):
-                        written[age][young_row[age]] = 1
+        duplicate, inserters, _, _ = resolve_inserts(
+            duplicate,
+            match0,
+            young + np.arange(0, num_required * m, m, dtype=np.int64),
+            num_required * m,
+            need_covered=False,
+            run=num_required,
+        )
         return duplicate, inserters, young
 
     def _apply_inserts(self, young: "np.ndarray") -> None:
@@ -475,10 +395,10 @@ class AgePartitionedBFDetector(_SlicedFilter, CountBasedDetector):
     def process_indices_batch(self, indices: "np.ndarray") -> "np.ndarray":
         """Batch variant of :meth:`process_indices` (``(n, S)`` indices).
 
-        The chunk is resolved assuming no retirement, then applied up
-        to the generation boundary: verdicts of rows at or before the
-        boundary depend only on earlier rows, so the prefix is exact;
-        the suffix re-resolves against the shifted slices.
+        Each run holds at most as many rows as the current generation
+        has inserts left, so no retirement can fall inside it: a run
+        that fills the generation does so with its last row, and the
+        slice retires after the run.  Every row is probed once.
         """
         idx = np.asarray(indices)
         if idx.ndim != 2:
@@ -488,27 +408,19 @@ class AgePartitionedBFDetector(_SlicedFilter, CountBasedDetector):
         out = np.empty(n, dtype=bool)
         start = 0
         while start < n:
-            stop = min(n, start + self._MAX_SEGMENT)
-            duplicate, inserters, young = self._probe_run(idx[start:stop])
             capacity = self.generation_size - self._generation_count
+            stop = min(n, start + self._MAX_SEGMENT, start + capacity)
+            duplicate, inserters, young = self._probe_run(idx[start:stop])
             ins = np.nonzero(inserters)[0]
-            if ins.size < capacity:
-                if ins.size:
-                    self._apply_inserts(young[ins])
-                self._tally_run(stop - start, ins.size, duplicate)
-                self._generation_count += int(ins.size)
-                out[start:stop] = duplicate
-                start = stop
-                continue
-            # The capacity-th insert retires a slice; everything after
-            # it must re-probe against the shifted ring.
-            take = int(ins[capacity - 1]) + 1
-            self._apply_inserts(young[ins[:capacity]])
-            self._tally_run(take, capacity, duplicate[:take])
-            out[start : start + take] = duplicate[:take]
-            self._shift()
-            self._generation_count = 0
-            start += take
+            if ins.size:
+                self._apply_inserts(young[ins])
+            self._tally_run(stop - start, ins.size, duplicate)
+            out[start:stop] = duplicate
+            self._generation_count += int(ins.size)
+            if self._generation_count == self.generation_size:
+                self._shift()
+                self._generation_count = 0
+            start = stop
         return out
 
     # -- introspection -------------------------------------------------

@@ -345,8 +345,9 @@ def _command_detect(args: argparse.Namespace) -> int:
     The stream is read in ``--chunk-size`` batches (``read_batches``),
     each classified with one ``observe_batch`` call.  With ``--workers
     N > 1`` the detector is sharded one shard per worker process, fed
-    through shared-memory rings.  Scoring, quality, and alerting
-    consume the stream-order verdicts either way.
+    through shared-memory rings.  Scoring and alerting consume the
+    stream-order verdicts either way; per-publisher quality is tracked
+    only when ``--quality`` asks for its report.
     """
     import numpy as np
 
@@ -360,12 +361,14 @@ def _command_detect(args: argparse.Namespace) -> int:
     # worker.
     spec = _spec_from_args(args, shards=max(1, args.workers))
     detector = create_detector(spec)
-    quality = ClickQualityTracker(
-        QualityConfig(window=spec.window.size, grace_clicks=0)
-    )
+    quality = None
+    if args.quality:
+        quality = ClickQualityTracker(
+            QualityConfig(window=spec.window.size, grace_clicks=0)
+        )
     engine = AlertEngine(default_rules())
     pipeline = DetectionPipeline(detector)
-    identify = pipeline.scheme.identify
+    identify_batch = pipeline.scheme.identify_batch
     if args.workers > 1:
         from .parallel import lift_sharded
 
@@ -373,11 +376,7 @@ def _command_detect(args: argparse.Namespace) -> int:
     total = duplicates = fraud_total = 0
     try:
         for batch in read_batches(args.input, max(1, args.chunk_size)):
-            identifiers = np.fromiter(
-                (identify(click) for click in batch),
-                dtype=np.uint64,
-                count=len(batch),
-            )
+            identifiers = identify_batch(batch)
             timestamps = (
                 np.fromiter((click.timestamp for click in batch),
                             dtype=np.float64, count=len(batch))
@@ -391,7 +390,8 @@ def _command_detect(args: argparse.Namespace) -> int:
                 duplicates += is_duplicate
                 fraud_total += click.is_fraud
                 pipeline.scoreboard.record(click, is_duplicate)
-                quality.observe(click, is_duplicate)
+                if quality is not None:
+                    quality.observe(click, is_duplicate)
                 engine.observe(click, is_duplicate)
     finally:
         if args.workers > 1:
@@ -408,7 +408,7 @@ def _command_detect(args: argparse.Namespace) -> int:
         for key, stats in top:
             print(f"  {key:#014x}  {stats.clicks:6d} clicks  "
                   f"{100 * stats.duplicate_rate:5.1f}% duplicates")
-    if args.quality:
+    if quality is not None:
         print("\nper-publisher click quality:")
         rows = [
             [publisher, data["clicks"], data["quality"], data["multiplier"]]

@@ -35,7 +35,7 @@ from ..core.checkpoint import (
     save_detector,
     unpack_frame,
 )
-from ..core.contract import batch_arrays
+from ..core.contract import batch_arrays, require_query
 from ..detection.sharded import (
     ShardedDetector,
     default_router,
@@ -135,8 +135,18 @@ class ClusterSlice:
         return out
 
     def query(self, identifier: int) -> bool:
+        """Side-effect-free duplicate check on the owning shard
+        (count-based slices; a time-based one answers :meth:`query_at`)."""
+        require_query(self, timed=False)
         shard = self._scalar_router(int(identifier))
         return self._owned_detector(shard).query(int(identifier))
+
+    def query_at(self, identifier: int, timestamp: float) -> bool:
+        """Duplicate check at ``timestamp`` on the owning shard
+        (time-based slices); advances that shard's clock only."""
+        require_query(self, timed=True)
+        shard = self._scalar_router(int(identifier))
+        return self._owned_detector(shard).query_at(int(identifier), timestamp)
 
     def checkpoint_shard(self, shard: int) -> bytes:
         """One owned shard's blob — comparable byte-for-byte with

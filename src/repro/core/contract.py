@@ -36,6 +36,7 @@ __all__ = [
     "CountBasedDetector",
     "TimeBasedDetector",
     "batch_arrays",
+    "require_query",
     "require_timestamps",
     "scalar_loop",
 ]
@@ -70,6 +71,25 @@ def require_timestamps(detector, timestamps, method: str = "observe_batch"):
             "timestamps"
         )
     return timestamps
+
+
+def require_query(detector, timed: bool) -> None:
+    """Refuse the side-effect-free check of the other time model.
+
+    Count-based detectors answer ``query(identifier)`` and time-based
+    ones ``query_at(identifier, timestamp)``; a tier offering both
+    raises :class:`ConfigurationError` naming the one it answers.
+    """
+    if bool(detector.timed) != timed:
+        use = (
+            "query_at(identifier, timestamp)"
+            if detector.timed
+            else "query(identifier)"
+        )
+        model = "time-based" if detector.timed else "count-based"
+        raise ConfigurationError(
+            f"{type(detector).__name__} is {model}; use {use}"
+        )
 
 
 def batch_arrays(

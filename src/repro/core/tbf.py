@@ -291,7 +291,7 @@ class TBFDetector(CountBasedDetector):
         # In-chunk inserts are < window arrivals old, so a covered slot
         # is active at probe time: the resolver's covered matrix is the
         # probe-read truth directly.
-        duplicate, inserters, first_writer, covered = resolve_inserts(
+        duplicate, inserters, writers, covered = resolve_inserts(
             dup0, active0, idx, m
         )
         reads = check_reads(covered)
@@ -301,9 +301,9 @@ class TBFDetector(CountBasedDetector):
         # once (chunk limit), judged against pre-chunk values at the
         # sweeping element's clock — except entries an earlier element
         # re-inserted, which are fresh and must survive.  The cursor
-        # window is at most two contiguous slices, so values, writer
-        # table, and the erase store are all sliced views — no index
-        # arrays, no modulo (erasures first, inserts after: an entry
+        # window is at most two contiguous slices, so values and the
+        # erase store are sliced views — no index arrays, no modulo
+        # (erasures first, inserts after: an entry
         # erased by one element and re-written by a later one ends up
         # written, and slices are disjoint so the interleave is exact).
         total = n * scan
@@ -320,7 +320,7 @@ class TBFDetector(CountBasedDetector):
             seg_age = kernels.wrapped_ages(now0, seg_values, period) + elems
             erase = (seg_values != empty) & (seg_age >= window)
             if ins.size:
-                erase &= ~(first_writer[cursor : cursor + length] < elems)
+                erase &= ~writers.written_before(cursor, elems)
             count = int(np.count_nonzero(erase))
             if count:
                 seg[erase] = empty_stamp
@@ -330,18 +330,11 @@ class TBFDetector(CountBasedDetector):
         if ins.size:
             # The final stamp per entry is its *last* writer's position
             # (fancy assignment has no duplicate-order guarantee, so the
-            # last writer is made explicit with a maximum scatter).
-            last_writer = np.full(m, -1, dtype=np.int64)
-            if ins.size == n:
-                np.maximum.at(
-                    last_writer, idx.ravel(), kernels.repeat_arange(n, k)
-                )
-            else:
-                np.maximum.at(last_writer, idx[ins].ravel(), np.repeat(ins, k))
-            upd = np.nonzero(last_writer >= 0)[0]
-            entries[upd] = (
-                (first_position + last_writer[upd]) % period
-            ).astype(entries.dtype)
+            # last writer is made explicit).
+            written, last = writers.last_writes()
+            entries[written] = ((first_position + last) % period).astype(
+                entries.dtype
+            )
 
         self._clean_cursor = int((self._clean_cursor + n * scan) % m)
         self._position += n

@@ -215,7 +215,7 @@ class TBFJumpingDetector(CountBasedDetector):
         ages = kernels.wrapped_ages(now, values, period)
         active0 = (values != empty) & (ages < active_span)
         dup0 = kernels.row_all(active0)
-        duplicate, inserters, first_writer, covered = resolve_inserts(
+        duplicate, inserters, writers, covered = resolve_inserts(
             dup0, active0, idx, m
         )
         reads = check_reads(covered)
@@ -239,9 +239,8 @@ class TBFJumpingDetector(CountBasedDetector):
                 kernels.wrapped_ages(now, seg_values, period) >= active_span
             )
             if ins.size:
-                erase &= ~(
-                    first_writer[cursor : cursor + length]
-                    < sweep_element[offset : offset + length]
+                erase &= ~writers.written_before(
+                    cursor, sweep_element[offset : offset + length]
                 )
             count = int(np.count_nonzero(erase))
             if count:

@@ -334,7 +334,7 @@ class TimeBasedTBFDetector(TimeBasedDetector):
         dup0 = kernels.row_all(active0)
         # In-segment stamps stay active (elapsed spread < resolution),
         # so the resolver's covered matrix is active at probe time.
-        duplicate, inserters, first_writer, covered = resolve_inserts(
+        duplicate, inserters, writers, covered = resolve_inserts(
             dup0, active0, idx, m
         )
         reads = check_reads(covered)
@@ -364,9 +364,8 @@ class TimeBasedTBFDetector(TimeBasedDetector):
                 )
                 erase = (seg_values != empty) & (seg_age >= active_span)
                 if ins.size:
-                    erase &= ~(
-                        first_writer[cursor : cursor + length]
-                        < sweep_element[offset : offset + length]
+                    erase &= ~writers.written_before(
+                        cursor, sweep_element[offset : offset + length]
                     )
                 count = int(np.count_nonzero(erase))
                 if count:
@@ -379,16 +378,9 @@ class TimeBasedTBFDetector(TimeBasedDetector):
         if ins.size:
             # Per-element stamps: the last writer's clock wins, exactly
             # as in the scalar overwrite order.
-            last_writer = np.full(m, -1, dtype=np.int64)
-            if ins.size == n:
-                np.maximum.at(
-                    last_writer, idx.ravel(), kernels.repeat_arange(n, k)
-                )
-            else:
-                np.maximum.at(last_writer, idx[ins].ravel(), np.repeat(ins, k))
-            upd = np.nonzero(last_writer >= 0)[0]
-            entries[upd] = (
-                (np.int64(now0) + elapsed[last_writer[upd]]) % period
+            written, last = writers.last_writes()
+            entries[written] = (
+                (np.int64(now0) + elapsed[last]) % period
             ).astype(entries.dtype)
         self.counter.add(total + reads, clean_writes + k * int(ins.size))
         self.counter.elements += n

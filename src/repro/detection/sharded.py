@@ -46,7 +46,7 @@ from ..core.checkpoint import (
     save_detector,
     unpack_frame,
 )
-from ..core.contract import batch_arrays, require_timestamps
+from ..core.contract import batch_arrays, require_query, require_timestamps
 from ..errors import ConfigurationError
 from ..hashing.family import _splitmix64, splitmix64_batch
 
@@ -356,11 +356,26 @@ class ShardedDetector(_ShardFailover):
         return out
 
     def query(self, identifier: int) -> bool:
+        """Side-effect-free duplicate check on the owning shard
+        (count-based fleets; a time-based one answers :meth:`query_at`)."""
+        require_query(self, timed=False)
+        return self._query(identifier, None)
+
+    def query_at(self, identifier: int, timestamp: float) -> bool:
+        """Duplicate check at ``timestamp`` on the owning shard
+        (time-based fleets); like the shard's own ``query_at``, it
+        advances that shard's clock but records nothing."""
+        require_query(self, timed=True)
+        return self._query(identifier, timestamp)
+
+    def _query(self, identifier: int, timestamp: Optional[float]) -> bool:
         shard = self.router(identifier)
         verdict = self._degraded_verdict(shard, count=False)
         if verdict is not None:
             return verdict
-        return self.shards[shard].query(identifier)
+        if timestamp is None:
+            return self.shards[shard].query(identifier)
+        return self.shards[shard].query_at(identifier, timestamp)
 
     @property
     def num_shards(self) -> int:

@@ -107,6 +107,30 @@ class TestAPBFSemantics:
             ))
             assert detector.theoretical_fp_bound() <= target
 
+    @pytest.mark.parametrize("size", [4096, 16384, 32768])
+    def test_batch_probes_each_row_once(self, size):
+        # Runs end where the generation fills, so a call of n clicks
+        # probes n rows however many slices retire inside it (it used
+        # to re-probe the rest of the call after every retirement).
+        detector = create_detector(DetectorSpec(
+            "apbf", WindowSpec("sliding", 1 << 16), target_fp=1e-3
+        ))
+        assert (detector.num_required, detector.num_aged) == (15, 20)
+        assert (detector.slice_bits, detector.generation_size) == (70_894, 3_276)
+        rng = np.random.default_rng(size)
+        fill = rng.integers(1, 2**63, 1 << 16, dtype=np.uint64)
+        detector.process_batch(fill)
+        probed = []
+        probe_run = detector._probe_run
+        detector._probe_run = lambda idx: probed.append(len(idx)) or probe_run(idx)
+        clicks = 0
+        for _ in range(2):
+            batch = rng.integers(1, 2**63, size, dtype=np.uint64)
+            batch[::10] = rng.choice(fill, batch[::10].shape[0])
+            detector.process_batch(batch)
+            clicks += size
+        assert sum(probed) <= 1.1 * clicks
+
 
 class TestTLBFSemantics:
     def test_duplicate_within_duration(self):

@@ -24,6 +24,7 @@ from repro.core import (
     save_detector,
 )
 from repro.adaptive import AgePartitionedBFDetector, TimeLimitedBFDetector
+from repro.core.batch import DENSE_ENTRIES, DENSE_SHARE
 from repro.detection import ShardedDetector
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -142,6 +143,16 @@ class TestCountBasedEquivalence:
 
     @SETTINGS
     @given(ids=identifiers, chunking=chunkings)
+    def test_apbf_long_generations(self, ids, chunking):
+        # g = 40: runs of up to 40 rows, against g = 5 above.
+        _assert_count_equivalence(
+            lambda: AgePartitionedBFDetector(4, 6, 61, 40, seed=5),
+            ids,
+            chunking,
+        )
+
+    @SETTINGS
+    @given(ids=identifiers, chunking=chunkings)
     def test_apbf_single_insert_generations(self, ids, chunking):
         # g = 1: every insert shifts — the degenerate boundary regime.
         _assert_count_equivalence(
@@ -182,6 +193,83 @@ class TestTimeBasedEquivalence:
             ids,
             gaps,
             chunking,
+        )
+
+
+# Tables just above the dense floor; cleaning slack so wide that each
+# arrival sweeps one entry, which keeps the scalar twins fast.
+SPARSE_ENTRIES = DENSE_ENTRIES + 3
+SPARSE_SLICE = DENSE_ENTRIES // 4 + 1
+
+
+class TestSparseWriterTables:
+    """Filters large enough that every chunk takes the sparse side of
+    :class:`repro.core.batch.WriterTable` (the builders above, with
+    m = 53-97, all take the dense one)."""
+
+    BUILDERS = {
+        "tbf": (
+            lambda: TBFDetector(
+                24, SPARSE_ENTRIES, 3, cleanup_slack=SPARSE_ENTRIES, seed=5
+            ),
+            SPARSE_ENTRIES,
+        ),
+        "tbf-jumping": (
+            lambda: TBFJumpingDetector(
+                24, 4, SPARSE_ENTRIES, 3, cleanup_slack=1 << 16, seed=5
+            ),
+            SPARSE_ENTRIES,
+        ),
+        # Runs are capped at one generation (g = 40 rows).
+        "apbf": (
+            lambda: AgePartitionedBFDetector(4, 6, SPARSE_SLICE, 40, seed=5),
+            4 * SPARSE_SLICE,
+        ),
+        "tbf-time": (
+            lambda: TimeBasedTBFDetector(
+                16.0, 8, SPARSE_ENTRIES, 3, cleanup_slack=SPARSE_ENTRIES, seed=5
+            ),
+            SPARSE_ENTRIES,
+        ),
+        "time-limited-bf": (
+            lambda: TimeLimitedBFDetector(16.0, 4, 6, SPARSE_SLICE, seed=5),
+            4 * SPARSE_SLICE,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_every_chunk_is_sparse(self, name):
+        build, table_size = self.BUILDERS[name]
+        detector = build()
+        k = getattr(detector, "num_required", detector.family.num_hashes)
+        assert table_size > DENSE_ENTRIES
+        assert 80 * k < DENSE_SHARE * table_size
+
+    @SETTINGS
+    @given(ids=identifiers, chunking=chunkings)
+    def test_tbf(self, ids, chunking):
+        _assert_count_equivalence(self.BUILDERS["tbf"][0], ids, chunking)
+
+    @SETTINGS
+    @given(ids=identifiers, chunking=chunkings)
+    def test_tbf_jumping(self, ids, chunking):
+        _assert_count_equivalence(self.BUILDERS["tbf-jumping"][0], ids, chunking)
+
+    @SETTINGS
+    @given(ids=identifiers, chunking=chunkings)
+    def test_apbf(self, ids, chunking):
+        _assert_count_equivalence(self.BUILDERS["apbf"][0], ids, chunking)
+
+    @SETTINGS
+    @given(ids=identifiers, gaps=gaps, chunking=chunkings)
+    def test_time_tbf(self, ids, gaps, chunking):
+        _assert_time_equivalence(self.BUILDERS["tbf-time"][0], ids, gaps, chunking)
+
+    @SETTINGS
+    @given(ids=identifiers, gaps=gaps, chunking=chunkings)
+    def test_time_limited_bf(self, ids, gaps, chunking):
+        _assert_time_equivalence(
+            self.BUILDERS["time-limited-bf"][0], ids, gaps, chunking
         )
 
 

@@ -34,6 +34,7 @@ from repro.cluster import (
     split_sharded,
 )
 from repro.core.checkpoint import unpack_frame
+from repro.detection import DetectorSpec, WindowSpec, create_detector
 from repro.detection.sharded import ShardedDetector, route_batch
 from repro.errors import ConfigurationError, ProtocolError
 from repro.resilience.supervisor import CheckpointStore
@@ -177,6 +178,33 @@ class TestClusterSlice:
             )
         # A node that owns no shard takes the fleet's time model.
         assert ClusterSlice(SHARDS, {}, timed=True).timed
+
+    @pytest.mark.parametrize("algorithm", ["tbf-time", "time-limited-bf"])
+    def test_timed_slice_answers_query_at(self, algorithm):
+        def fleet():
+            return create_detector(DetectorSpec(
+                algorithm,
+                WindowSpec("sliding", 1024),
+                target_fp=1e-3,
+                duration=8.0,
+                resolution=4,
+                shards=2,
+            ))
+
+        reference = fleet()
+        source = fleet()
+        piece = ClusterSlice(2, dict(enumerate(source.shards)))
+        assert piece.timed
+        for detector in (reference, piece):
+            for t, identifier in enumerate(range(100, 140)):
+                detector.observe(identifier, t * 0.05)
+        for identifier in range(90, 150):
+            assert piece.query_at(identifier, 3.0) == reference.query_at(
+                identifier, 3.0
+            )
+        assert piece.query_at(120, 3.0) is True
+        with pytest.raises(ConfigurationError, match="query_at"):
+            piece.query(120)
 
     def test_misrouted_identifier_refused(self):
         assignment = HashRing(["node-0", "node-1"]).assign(SHARDS)

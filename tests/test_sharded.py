@@ -6,7 +6,13 @@ import pytest
 
 from repro.baselines import TimeBasedExactDetector
 from repro.core import TBFDetector, TimeBasedTBFDetector
-from repro.detection import ShardedDetector, default_router
+from repro.detection import (
+    DetectorSpec,
+    ShardedDetector,
+    WindowSpec,
+    create_detector,
+    default_router,
+)
 from repro.errors import ConfigurationError
 from repro.windows import TimeBasedSlidingWindow
 from tests.fleets import tbf_fleet, timed_tbf_fleet
@@ -26,6 +32,52 @@ class TestRouter:
         for identifier in range(80_000):
             counts[route(identifier)] += 1
         assert max(counts) < 1.1 * min(counts)
+
+
+TIMED_SPECS = {
+    "tbf-time": DetectorSpec(
+        "tbf-time",
+        WindowSpec("sliding", 1024),
+        target_fp=1e-3,
+        duration=8.0,
+        resolution=4,
+        shards=2,
+    ),
+    "time-limited-bf": DetectorSpec(
+        "time-limited-bf",
+        WindowSpec("sliding", 1024),
+        target_fp=1e-3,
+        duration=8.0,
+        resolution=4,
+        shards=2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIMED_SPECS))
+def test_timed_fleet_answers_query_at(name):
+    fleet = create_detector(TIMED_SPECS[name])
+    twin = create_detector(TIMED_SPECS[name])
+    assert isinstance(fleet, ShardedDetector) and fleet.timed
+    for detector in (fleet, twin):
+        for t, identifier in enumerate(range(100, 140)):
+            detector.observe(identifier, t * 0.05)
+    assert fleet.query_at(120, 2.5) is True
+    assert fleet.query_at(99_999, 2.5) is False
+    # Forwarded to the owning shard: the answers of asking it directly.
+    for identifier in range(90, 150):
+        owner = twin.shards[twin.router(identifier)]
+        assert fleet.query_at(identifier, 3.0) == owner.query_at(identifier, 3.0)
+    with pytest.raises(ConfigurationError, match="query_at"):
+        fleet.query(100)
+
+
+def test_count_fleet_refuses_query_at():
+    fleet = tbf_fleet(1024, 2, 1 << 14, seed=1)
+    fleet.observe(7)
+    assert fleet.query(7) is True
+    with pytest.raises(ConfigurationError, match=r"query\(identifier\)"):
+        fleet.query_at(7, 0.0)
 
 
 class TestShardedDetector:
