@@ -18,7 +18,8 @@ frame's boundaries parseable by the server.  Header-level damage
 (which breaks framing outright) is modelled by ``truncate``/``reset``,
 which kill the connection the way real torn TCP streams do.
 
-:class:`ProxyThread` is the synchronous harness (the mirror of
+:class:`ProxyThread` is the synchronous harness (the same
+:class:`~repro.serve.background.LoopThread` that runs
 :class:`~repro.serve.server.ServerThread`); :meth:`ProxyThread.retarget`
 repoints new upstream connections at a different port, which is how the
 soak swaps in a restored server mid-schedule without the client ever
@@ -29,12 +30,12 @@ from __future__ import annotations
 
 import asyncio
 import random
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Set
 
 from ..errors import ConfigurationError
+from ..serve.background import LoopThread
 from ..serve.protocol import HEADER, MAGIC
 
 __all__ = ["FAULT_KINDS", "FaultPlan", "ChaosProxy", "ProxyThread"]
@@ -152,7 +153,8 @@ class ChaosProxy:
             self._handle, host=self._host, port=self._port
         )
 
-    async def close(self) -> None:
+    async def drain(self) -> None:
+        """Stop accepting and tear down every proxied connection."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -289,7 +291,7 @@ class ChaosProxy:
             transport.abort()
 
 
-class ProxyThread:
+class ProxyThread(LoopThread):
     """Run a :class:`ChaosProxy` on a background event loop.
 
     The synchronous harness for soaks and tests: start it, point a
@@ -304,59 +306,17 @@ class ProxyThread:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        self._args = (upstream_port, plan, upstream_host, host, port)
-        self.proxy: Optional[ChaosProxy] = None
-        self.port: Optional[int] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._closed: Optional[asyncio.Event] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    def start(self, timeout: float = 10.0) -> "ProxyThread":
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main()),
-            name="repro-chaos-proxy",
-            daemon=True,
+        super().__init__(
+            lambda: ChaosProxy(upstream_port, plan, upstream_host, host, port),
+            "repro-chaos-proxy",
         )
-        self._thread.start()
-        if not self._started.wait(timeout):
-            raise ConfigurationError("proxy thread failed to start in time")
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self
 
-    async def _main(self) -> None:
-        try:
-            self.proxy = ChaosProxy(*self._args)
-            await self.proxy.start()
-            self.port = self.proxy.port
-            self._loop = asyncio.get_running_loop()
-            self._closed = asyncio.Event()
-        except BaseException as error:  # surface to start()
-            self._startup_error = error
-            self._started.set()
-            return
-        self._started.set()
-        await self._closed.wait()
-        await self.proxy.close()
+    @property
+    def proxy(self) -> Optional[ChaosProxy]:
+        return self.service
 
     def retarget(self, port: int, host: Optional[str] = None) -> None:
         """Thread-safe :meth:`ChaosProxy.retarget`."""
         if self.proxy is None:
             raise ConfigurationError("proxy not started")
         self.proxy.retarget(port, host)
-
-    def stop(self, timeout: float = 10.0) -> None:
-        if self._loop is None or self._closed is None:
-            return
-        self._loop.call_soon_threadsafe(self._closed.set)
-        if self._thread is not None:
-            self._thread.join(timeout)
-        self._loop = None
-
-    def __enter__(self) -> "ProxyThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

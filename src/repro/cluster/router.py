@@ -22,9 +22,12 @@ and for every ``BATCH`` frame:
    are identical to what a single-process sharded detector would have
    produced.
 
-Responses stay in per-connection FIFO order (the same pre-enqueued
-future discipline :class:`~repro.serve.server.ClickIngestServer` uses),
-so pipelined clients observe single-server semantics.
+The client side — accept, sniff, ``PING``/``HELLO``, checksum ``RETRY``,
+decode ``ERROR``, the router-wide inflight budget, and per-connection
+FIFO responses — is the RPK1 front-end
+:class:`~repro.serve.server.ClickIngestServer` uses too
+(:mod:`repro.serve.frontend`); the router is its scatter/gather
+backend, so pipelined clients observe single-server semantics.
 
 Exactly-once across node failover
 ---------------------------------
@@ -56,40 +59,34 @@ mid-stream:
 from __future__ import annotations
 
 import asyncio
-import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..detection.sharded import route_batch, shard_groups
 from ..errors import ConfigurationError, ProtocolError
+from ..serve.background import LoopThread
+from ..serve.frontend import Backend, BatchFrame, Frontend, Session
 from ..serve.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     FLAG_CHECKSUM,
-    FLAG_TRACE,
     FRAME_BATCH,
     FRAME_ERROR,
-    FRAME_HELLO,
     FRAME_HELLO_ACK,
     FRAME_OVERLOADED,
-    FRAME_PING,
-    FRAME_PONG,
     FRAME_RETRY,
     FRAME_VERDICTS,
     HEADER,
     MAGIC,
     RECORD_DTYPE,
     TRACE_CONTEXT,
-    _U64,
     checksum16,
-    decode_batch_payload,
     decode_hello_payload,
     encode_frame,
     encode_hello,
     encode_jsonl_line,
-    split_trace_payload,
 )
 from ..telemetry import TelemetrySession
 from .hashring import HashRing
@@ -219,6 +216,22 @@ def merge_verdict_payloads(
 #: whose responses must be consumed and dropped, not matched.
 _DISCARD = object()
 
+#: Node response frame type -> the result kind a channel resolves to.
+_RESULT_KINDS = {
+    FRAME_VERDICTS: "verdicts",
+    FRAME_OVERLOADED: "overloaded",
+    FRAME_RETRY: "retry",
+    FRAME_ERROR: "error",
+}
+
+
+async def _read_frame(reader: asyncio.StreamReader) -> Tuple[int, bytes]:
+    """One node response: ``(frame_type, payload)``."""
+    frame_type, _flags, _reserved, _rid, payload_len = HEADER.unpack(
+        await reader.readexactly(HEADER.size)
+    )
+    return frame_type, await reader.readexactly(payload_len)
+
 
 class _ChannelEntry:
     __slots__ = ("seq", "frame", "nbytes", "future", "sent_epoch", "resolved")
@@ -312,7 +325,7 @@ class _NodeChannel:
                 entry.sent_epoch = self._epoch
                 self._send_order.append(entry)
                 await self.writer.drain()
-            except (ConnectionResetError, BrokenPipeError, OSError):
+            except OSError:
                 self._disconnect()
                 await self._connect_locked()
 
@@ -328,113 +341,91 @@ class _NodeChannel:
         for _attempt in range(config.node_connect_attempts):
             if self._closed:
                 return False
-            try:
-                reader, writer = await asyncio.open_connection(
-                    self.node.host, self.node.port, limit=config.max_frame_bytes
-                )
-            except OSError:
-                await asyncio.sleep(delay)
-                delay = min(delay * 1.5, config.node_backoff_max)
-                continue
-            try:
-                writer.write(MAGIC)
-                ack = 0
-                if self.session.client_id is not None:
-                    writer.write(encode_hello(0, self.session.client_id))
-                    await writer.drain()
-                    header = await reader.readexactly(HEADER.size)
-                    frame_type, _f, _r, _rid, payload_len = HEADER.unpack(header)
-                    payload = await reader.readexactly(payload_len)
-                    if frame_type != FRAME_HELLO_ACK:
-                        raise ProtocolError(
-                            f"expected HELLO_ACK, got 0x{frame_type:02X}"
-                        )
-                    ack = decode_hello_payload(payload)
-                else:
-                    await writer.drain()
-            except (
-                ProtocolError,
-                ConnectionResetError,
-                BrokenPipeError,
-                OSError,
-                asyncio.IncompleteReadError,
-            ):
-                try:
-                    writer.close()
-                except Exception:
-                    pass
-                await asyncio.sleep(delay)
-                delay = min(delay * 1.5, config.node_backoff_max)
-                continue
-            self.reader, self.writer = reader, writer
-            self.hello_ack = ack
-            self._epoch += 1
-            self._send_order = deque()
-            replayed = 0
-            if self.session.client_id is not None and ack < self.highest_answered:
-                # The node's applied floor is behind what this channel
-                # has seen answered: it restored from an older
-                # checkpoint.  Roll it forward by replaying exactly the
-                # journaled sub-frames above its floor; its dedup window
-                # absorbs anything it does remember.
-                for seq, frame in self.journal:
-                    if seq > ack:
-                        writer.write(frame)
-                        self._send_order.append(_DISCARD)
-                        replayed += 1
-            for entry in self._pending:
-                writer.write(entry.frame)
-                entry.sent_epoch = self._epoch
-                self._send_order.append(entry)
-            try:
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                self._disconnect()
-                await asyncio.sleep(delay)
-                delay = min(delay * 1.5, config.node_backoff_max)
-                continue
-            if replayed:
-                self.router._replays_total.inc(replayed)
-            self.router._connects_total.labels(node=self.node.name).inc()
-            self._reader_task = asyncio.create_task(self._reader_loop(reader))
-            self._tasks.add(self._reader_task)
-            self._reader_task.add_done_callback(self._tasks.discard)
-            return True
+            if await self._open():
+                return True
+            await asyncio.sleep(delay)
+            delay = min(delay * 1.5, config.node_backoff_max)
         self._fail_pending(f"node {self.node.name} unreachable")
         return False
+
+    async def _open(self) -> bool:
+        """One attempt: dial, re-announce HELLO, replay, resend pending."""
+        try:
+            reader, writer = await asyncio.open_connection(
+                self.node.host,
+                self.node.port,
+                limit=self.router.config.max_frame_bytes,
+            )
+        except OSError:
+            return False
+        try:
+            writer.write(MAGIC)
+            ack = 0
+            if self.session.client_id is not None:
+                writer.write(encode_hello(0, self.session.client_id))
+                await writer.drain()
+                frame_type, payload = await _read_frame(reader)
+                if frame_type != FRAME_HELLO_ACK:
+                    raise ProtocolError(
+                        f"expected HELLO_ACK, got 0x{frame_type:02X}"
+                    )
+                ack = decode_hello_payload(payload)
+            else:
+                await writer.drain()
+        except (ProtocolError, OSError, asyncio.IncompleteReadError):
+            writer.close()
+            return False
+        self.reader, self.writer = reader, writer
+        self.hello_ack = ack
+        self._epoch += 1
+        self._send_order = deque()
+        replayed = 0
+        if self.session.client_id is not None and ack < self.highest_answered:
+            # The node's applied floor is behind what this channel
+            # has seen answered: it restored from an older
+            # checkpoint.  Roll it forward by replaying exactly the
+            # journaled sub-frames above its floor; its dedup window
+            # absorbs anything it does remember.
+            for seq, frame in self.journal:
+                if seq > ack:
+                    writer.write(frame)
+                    self._send_order.append(_DISCARD)
+                    replayed += 1
+        for entry in self._pending:
+            writer.write(entry.frame)
+            entry.sent_epoch = self._epoch
+            self._send_order.append(entry)
+        try:
+            await writer.drain()
+        except OSError:
+            self._disconnect()
+            return False
+        if replayed:
+            self.router._replays_total.inc(replayed)
+        self.router._connects_total.labels(node=self.node.name).inc()
+        self._reader_task = asyncio.create_task(self._reader_loop(reader))
+        self._tasks.add(self._reader_task)
+        self._reader_task.add_done_callback(self._tasks.discard)
+        return True
 
     async def _reader_loop(self, reader: asyncio.StreamReader) -> None:
         try:
             while True:
-                header = await reader.readexactly(HEADER.size)
-                frame_type, _flags, _reserved, _rid, payload_len = HEADER.unpack(
-                    header
-                )
-                payload = await reader.readexactly(payload_len)
+                frame_type, payload = await _read_frame(reader)
                 if not self._send_order:
                     continue  # unsolicited; nothing to match
                 slot = self._send_order.popleft()
                 if slot is _DISCARD:
                     continue  # journal replay: node caught up
-                if frame_type == FRAME_VERDICTS:
-                    self._resolve(slot, ("verdicts", payload))
-                elif frame_type == FRAME_OVERLOADED:
-                    self._resolve(slot, ("overloaded", payload))
-                elif frame_type == FRAME_RETRY:
-                    self._resolve(slot, ("retry", payload))
-                elif frame_type == FRAME_ERROR:
-                    self._resolve(slot, ("error", payload))
-                else:
+                kind = _RESULT_KINDS.get(frame_type)
+                if kind is None:
                     # Out-of-band frame (PONG/HELLO_ACK): not a match.
                     self._send_order.appendleft(slot)
+                else:
+                    self._resolve(slot, (kind, payload))
         except asyncio.CancelledError:
             return
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-            OSError,
-        ):
+        except (asyncio.IncompleteReadError, OSError):
             pass
         if self._closed:
             return
@@ -489,250 +480,327 @@ class _NodeChannel:
 # Client session
 # ----------------------------------------------------------------------
 
-class _Session:
-    """One client connection: reader, FIFO sender, per-node channels."""
+class _Session(Session):
+    """A client connection plus its per-node upstream channels."""
 
     def __init__(
-        self,
-        router: "ClusterRouter",
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+        self, router: "ClusterRouter", writer: asyncio.StreamWriter
     ) -> None:
+        super().__init__(writer)
         self.router = router
-        self._reader = reader
-        self._writer = writer
-        self.client_id: Optional[int] = None
         self.generation = router._generation
         self.channels: Dict[int, _NodeChannel] = {}
-        self.responses: "asyncio.Queue" = asyncio.Queue()
 
-    async def run(self) -> None:
-        sender = asyncio.create_task(self._sender_loop())
-        try:
-            await self._reader_loop()
-        except asyncio.CancelledError:
-            pass  # drain: stop reading; pending responses still flush
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-            OSError,
-        ):
-            pass
-        finally:
-            self._close_channels("client connection closed")
-            self.responses.put_nowait(None)
-            try:
-                await asyncio.shield(sender)
-            except asyncio.CancelledError:
-                await sender
-            try:
-                self._writer.close()
-                await self._writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionResetError,
-                    BrokenPipeError, OSError):
-                # drain() cancels every session to stop its reader, then
-                # waits for it.  One already here, waiting for its socket
-                # to close, has nothing left to stop; ending it cancelled
-                # would only make asyncio log the cancellation as an error.
-                pass
+    def close(self) -> None:
+        self.close_channels("client connection closed")
 
-    def _close_channels(self, reason: str) -> None:
+    def close_channels(self, reason: str) -> None:
         for channel in self.channels.values():
             channel.close(reason)
         self.channels = {}
 
-    def _channel(self, node_index: int) -> _NodeChannel:
+    def channel(self, node_index: int) -> _NodeChannel:
         channel = self.channels.get(node_index)
         if channel is None:
             channel = _NodeChannel(self.router, self, node_index)
             self.channels[node_index] = channel
         return channel
 
-    def _respond_now(self, data: bytes) -> None:
-        future = asyncio.get_running_loop().create_future()
-        future.set_result(data)
-        self.responses.put_nowait((future, 0))
 
-    # -- frames ---------------------------------------------------------
+# ----------------------------------------------------------------------
+# The router itself
+# ----------------------------------------------------------------------
 
-    async def _reader_loop(self) -> None:
-        reader = self._reader
-        try:
-            sniff = await reader.readexactly(len(MAGIC))
-        except asyncio.IncompleteReadError:
-            return
-        if sniff != MAGIC:
-            # The router speaks only the binary protocol: JSONL requires
-            # running the identifier scheme, which belongs on a node.
-            self._respond_now(
-                encode_jsonl_line(
-                    {
-                        "id": 0,
-                        "error": "cluster router speaks binary RPK1 only; "
-                        "connect to a serve node for JSONL debugging",
-                    }
-                )
-            )
-            return
-        while True:
-            try:
-                header = await reader.readexactly(HEADER.size)
-            except asyncio.IncompleteReadError:
-                return
-            frame_type, flags, reserved, request_id, payload_len = HEADER.unpack(
-                header
-            )
-            if payload_len > self.router.config.max_frame_bytes:
-                self._respond_now(
-                    encode_frame(FRAME_ERROR, request_id, b"payload too large")
-                )
-                return  # stream sync is not worth recovering
-            payload = await reader.readexactly(payload_len)
-            if frame_type == FRAME_PING:
-                self._respond_now(encode_frame(FRAME_PONG, request_id))
-                continue
-            if frame_type == FRAME_HELLO:
-                await self._handle_hello(request_id, payload)
-                continue
-            if frame_type != FRAME_BATCH:
-                reason = f"unknown frame type 0x{frame_type:02X}"
-                self._respond_now(
-                    encode_frame(FRAME_ERROR, request_id, reason.encode())
-                )
-                continue
-            await self._handle_batch(request_id, flags, reserved, payload)
+class ClusterRouter(Backend):
+    """Stateless scatter/gather front for N serve nodes.
 
-    async def _handle_hello(self, request_id: int, payload: bytes) -> None:
-        try:
-            client_id = decode_hello_payload(payload)
-        except ProtocolError as error:
-            self._respond_now(
-                encode_frame(FRAME_ERROR, request_id, str(error).encode())
+    Construct on the event loop that will run it (it binds asyncio
+    primitives), or use :class:`RouterThread` for the sync harness.
+    """
+
+    def __init__(
+        self,
+        nodes: Sequence[NodeSpec],
+        config: Optional[ClusterConfig] = None,
+        assignment: Optional["np.ndarray"] = None,
+        telemetry: Optional[TelemetrySession] = None,
+    ) -> None:
+        self.config = config if config is not None else ClusterConfig()
+        self.nodes = self._validated_nodes(nodes)
+        if assignment is None:
+            assignment = HashRing([node.name for node in self.nodes]).assign(
+                self.config.total_shards
             )
+        self.assignment = self._validated_assignment(assignment, len(self.nodes))
+        self.telemetry = (
+            telemetry if telemetry is not None else TelemetrySession.disabled()
+        )
+        registry = self.telemetry.registry
+        self._batches_total = registry.counter(
+            "repro_cluster_batches_total", "Batches routed"
+        )
+        self._clicks_total = registry.counter(
+            "repro_cluster_clicks_total", "Clicks routed"
+        )
+        self._subframes_total = registry.counter(
+            "repro_cluster_subframes_total",
+            "Per-node sub-frames forwarded",
+            labels=("node",),
+        )
+        self._refused_total = registry.counter(
+            "repro_cluster_refused_total",
+            "Batches refused OVERLOADED (router or node budget, or paused)",
+        )
+        self._connects_total = registry.counter(
+            "repro_cluster_node_connects_total",
+            "Upstream node connections established",
+            labels=("node",),
+        )
+        self._replays_total = registry.counter(
+            "repro_cluster_journal_replays_total",
+            "Journaled sub-frames replayed to a node restored behind its ack",
+        )
+        self._journal_overflow_total = registry.counter(
+            "repro_cluster_journal_overflow_total",
+            "Journal entries dropped on overflow (replay may be incomplete)",
+        )
+        self._nodes_gauge = registry.gauge(
+            "repro_cluster_nodes", "Serve nodes behind the router"
+        )
+        self._nodes_gauge.set(len(self.nodes))
+        self.total_batches = 0
+        self.total_clicks = 0
+        self._generation = 0
+        self._paused = False
+        self._outstanding = 0
+        self._idle = asyncio.Event()
+        self._idle.set()
+        self._drained = asyncio.Event()
+        self._draining = False
+        # One budget: the router-wide cap doubles as the per-session one.
+        self.frontend = Frontend(
+            self, self.config, registry, "repro_cluster",
+            session_inflight_bytes=self.config.max_inflight_bytes,
+        )
+
+    @staticmethod
+    def _validated_nodes(nodes: Sequence[NodeSpec]) -> Tuple[NodeSpec, ...]:
+        nodes = tuple(nodes)
+        if not nodes:
+            raise ConfigurationError("need at least one node")
+        names = [node.name for node in nodes]
+        if len(set(names)) != len(names):
+            raise ConfigurationError(f"duplicate node names: {names}")
+        return nodes
+
+    def _validated_assignment(
+        self, assignment: "np.ndarray", num_nodes: int
+    ) -> "np.ndarray":
+        assignment = np.asarray(assignment, dtype=np.int64)
+        if assignment.shape != (self.config.total_shards,):
+            raise ConfigurationError(
+                f"assignment length {assignment.shape} does not match "
+                f"total_shards {self.config.total_shards}"
+            )
+        if not (0 <= int(assignment.min()) and int(assignment.max()) < num_nodes):
+            raise ConfigurationError(
+                f"assignment references nodes outside [0, {num_nodes})"
+            )
+        return assignment
+
+    # -- lifecycle ------------------------------------------------------
+
+    async def start(self) -> None:
+        await self.frontend.start()
+
+    @property
+    def port(self) -> int:
+        return self.frontend.port
+
+    async def drain(self) -> None:
+        """Quiesce admission, flush in-flight batches, close sessions."""
+        if self._draining:
+            await self._drained.wait()
             return
-        if self.client_id != client_id:
-            self._close_channels("client identity changed")
-        self.client_id = client_id
-        self.generation = self.router._generation
+        self._draining = True
+        self._paused = True
+        await self._idle.wait()
+        self.frontend.stop_reading()
+        await self.frontend.wait_closed()
+        self._drained.set()
+
+    async def quiesce(self) -> None:
+        """Pause admission and wait until no batch is in flight.
+
+        New batches are refused ``OVERLOADED`` until :meth:`resume`;
+        existing connections stay open.  The cluster checkpoint barrier
+        and rebalance both run inside this window.
+        """
+        self._paused = True
+        await self._idle.wait()
+
+    async def resume(self) -> None:
+        self._paused = False
+
+    async def reconfigure(
+        self,
+        nodes: Sequence[NodeSpec],
+        assignment: Optional["np.ndarray"] = None,
+    ) -> None:
+        """Swap the node set/assignment (router must be quiesced).
+
+        Client connections survive; their node channels are torn down
+        and rebuilt lazily against the new fleet.
+        """
+        if not self._paused:
+            raise ConfigurationError("reconfigure requires a quiesced router")
+        await self._idle.wait()
+        nodes = self._validated_nodes(nodes)
+        if assignment is None:
+            assignment = HashRing([node.name for node in nodes]).assign(
+                self.config.total_shards
+            )
+        self.assignment = self._validated_assignment(assignment, len(nodes))
+        self.nodes = nodes
+        self._generation += 1
+        self._nodes_gauge.set(len(nodes))
+        for session in list(self.frontend.sessions.values()):
+            session.close_channels("cluster reconfigured")
+
+    async def clear_journals(self) -> None:
+        """Drop replay journals (call only at a checkpoint barrier:
+        every node has durably applied everything the journals cover)."""
+        for session in list(self.frontend.sessions.values()):
+            for channel in session.channels.values():
+                channel.journal.clear()
+
+    # -- the front-end's backend hooks ---------------------------------
+
+    def open_session(self, writer: asyncio.StreamWriter) -> _Session:
+        return _Session(self, writer)
+
+    async def jsonl(
+        self, session: Session, reader: asyncio.StreamReader, first: bytes
+    ) -> None:
+        # The router speaks only the binary protocol: JSONL requires
+        # running the identifier scheme, which belongs on a node.
+        session.respond(
+            encode_jsonl_line(
+                {
+                    "id": 0,
+                    "error": "cluster router speaks binary RPK1 only; "
+                    "connect to a serve node for JSONL debugging",
+                }
+            )
+        )
+
+    async def hello(self, session: _Session, client_id: int) -> int:
+        if session.client_id != client_id:
+            session.close_channels("client identity changed")
+        session.client_id = client_id
+        session.generation = self._generation
         # Eagerly open every node channel so each node learns the
         # identity up front; the ack is the *minimum* applied floor
         # across nodes — the client may safely resend anything above it
         # (nodes that already applied a sequence replay it from dedup).
         acks = []
-        for node_index in range(len(self.router.nodes)):
-            channel = self._channel(node_index)
-            if await channel.ensure_connected():
-                acks.append(channel.hello_ack)
-            else:
-                acks.append(0)
-        applied = min(acks) if acks else 0
-        self._respond_now(
-            encode_frame(FRAME_HELLO_ACK, request_id, _U64.pack(applied))
-        )
+        for node_index in range(len(self.nodes)):
+            channel = session.channel(node_index)
+            connected = await channel.ensure_connected()
+            acks.append(channel.hello_ack if connected else 0)
+        return min(acks)
 
-    async def _handle_batch(
-        self, request_id: int, flags: int, reserved: int, payload: bytes
-    ) -> None:
-        router = self.router
-        config = router.config
-        if flags & FLAG_CHECKSUM and checksum16(payload) != reserved:
-            router._corrupt_total.inc()
-            self._respond_now(
-                encode_frame(
-                    FRAME_RETRY, request_id, b"payload damaged in transit"
-                )
-            )
-            return
-        if router._paused:
-            router._refused_total.inc()
-            self._respond_now(
+    def batch(self, session: _Session, frame: BatchFrame) -> None:
+        request_id = frame.request_id
+        if self._paused:
+            self._refused_total.inc()
+            session.respond(
                 encode_frame(FRAME_OVERLOADED, request_id, b"router draining")
             )
             return
-        try:
-            trace, records = split_trace_payload(flags, payload)
-            identifiers, _timestamps = decode_batch_payload(records)
-        except ProtocolError as error:
-            self._respond_now(
-                encode_frame(FRAME_ERROR, request_id, str(error).encode())
-            )
-            return
-        count = int(identifiers.shape[0])
+        count = int(frame.identifiers.shape[0])
         if count == 0:
-            self._respond_now(encode_frame(FRAME_VERDICTS, request_id, b""))
+            session.respond(encode_frame(FRAME_VERDICTS, request_id, b""))
             return
-        if self.generation != router._generation:
-            self._close_channels("cluster reconfigured")
-            self.generation = router._generation
-        wire = len(payload)
-        if router._inflight_bytes + wire > config.max_inflight_bytes:
-            router._refused_total.inc()
-            self._respond_now(
+        if session.generation != self._generation:
+            session.close_channels("cluster reconfigured")
+            session.generation = self._generation
+        wire = len(frame.payload)
+        if not self.frontend.admit(session, wire):
+            self._refused_total.inc()
+            session.respond(
                 encode_frame(
                     FRAME_OVERLOADED, request_id, b"router inflight budget full"
                 )
             )
             return
-        record_array = np.frombuffer(records, dtype=RECORD_DTYPE)
-        node_of = router.assignment[route_batch(identifiers, config.total_shards)]
-        parts: List[Tuple[int, Optional["np.ndarray"], bytes, int]] = []
-        for node_index, positions in shard_groups(node_of):
-            if positions.shape[0] == count:
-                # Whole batch lands on one node: forward the original
-                # frame bytes untouched (flags, checksum, trace prefix).
-                frame = (
-                    HEADER.pack(
-                        FRAME_BATCH, flags, reserved, request_id, len(payload)
-                    )
-                    + payload
-                )
-                parts.append((int(node_index), None, frame, len(payload)))
-                continue
-            sub = record_array[positions].tobytes()
-            if trace is not None:
-                sub = TRACE_CONTEXT.pack(trace[0], trace[1]) + sub
-            sub_reserved = checksum16(sub) if flags & FLAG_CHECKSUM else 0
-            frame = (
-                HEADER.pack(FRAME_BATCH, flags, sub_reserved, request_id, len(sub))
-                + sub
-            )
-            parts.append((int(node_index), positions, frame, len(sub)))
+        parts = self._split(frame, count)
         # Atomic per-node admission: every target channel must have
         # budget before anything is forwarded, so a refusal really means
         # "not processed anywhere".
         channels: Dict[int, _NodeChannel] = {}
         for node_index, _positions, _frame, nbytes in parts:
-            channel = self._channel(node_index)
-            if channel.inflight_bytes + nbytes > config.node_inflight_bytes:
-                router._refused_total.inc()
-                self._respond_now(
+            channel = session.channel(node_index)
+            if channel.inflight_bytes + nbytes > self.config.node_inflight_bytes:
+                self.frontend.release(session, wire)
+                self._refused_total.inc()
+                session.respond(
                     encode_frame(
                         FRAME_OVERLOADED,
                         request_id,
-                        f"node {router.nodes[node_index].name} inflight "
+                        f"node {self.nodes[node_index].name} inflight "
                         "budget full".encode(),
                     )
                 )
                 return
             channels[node_index] = channel
-        router._charge(wire)
         scatter = []
-        for node_index, positions, frame, nbytes in parts:
-            future = channels[node_index].submit(request_id, frame, nbytes)
+        for node_index, positions, sub_frame, nbytes in parts:
+            future = channels[node_index].submit(request_id, sub_frame, nbytes)
             scatter.append((node_index, positions, future))
-            router._subframes_total.labels(node=router.nodes[node_index].name).inc()
-        router._batches_total.inc()
-        router._clicks_total.inc(count)
-        router.total_batches += 1
-        router.total_clicks += count
-        task = asyncio.create_task(self._gather(request_id, count, scatter))
-        router._begin_batch()
-        task.add_done_callback(lambda _t: router._end_batch())
-        self.responses.put_nowait((task, wire))
+            self._subframes_total.labels(node=self.nodes[node_index].name).inc()
+        self._batches_total.inc()
+        self._clicks_total.inc(count)
+        self.total_batches += 1
+        self.total_clicks += count
+        task = asyncio.create_task(
+            self._gather(session, request_id, count, scatter)
+        )
+        self._begin_batch()
+        task.add_done_callback(lambda _t: self._end_batch())
+        session.respond_later(task, wire)
+
+    def _split(
+        self, frame: BatchFrame, count: int
+    ) -> List[Tuple[int, Optional["np.ndarray"], bytes, int]]:
+        """Per-node sub-frames ``(node, positions, frame_bytes, nbytes)``."""
+        flags = frame.flags
+        node_of = self.assignment[
+            route_batch(frame.identifiers, self.config.total_shards)
+        ]
+        record_array = np.frombuffer(frame.records, dtype=RECORD_DTYPE)
+        parts = []
+        for node_index, positions in shard_groups(node_of):
+            if positions.shape[0] == count:
+                # Whole batch lands on one node: forward the original
+                # frame bytes untouched (flags, checksum, trace prefix).
+                payload = frame.payload
+                reserved = frame.reserved
+                positions = None
+            else:
+                payload = record_array[positions].tobytes()
+                if frame.trace is not None:
+                    payload = TRACE_CONTEXT.pack(*frame.trace) + payload
+                reserved = checksum16(payload) if flags & FLAG_CHECKSUM else 0
+            header = HEADER.pack(
+                FRAME_BATCH, flags, reserved, frame.request_id, len(payload)
+            )
+            parts.append((int(node_index), positions, header + payload, len(payload)))
+        return parts
 
     async def _gather(
         self,
+        session: _Session,
         request_id: int,
         count: int,
         scatter: List[Tuple[int, Optional["np.ndarray"], "asyncio.Future"]],
@@ -749,14 +817,14 @@ class _Session:
             if failures:
                 hard = [entry for entry in failures if entry[1][0] == "error"]
                 node_index, (kind, reason) = (hard or failures)[0]
-                name = self.router.nodes[node_index].name.encode()
+                name = self.nodes[node_index].name.encode()
                 if hard:
                     return encode_frame(
                         FRAME_ERROR,
                         request_id,
                         b"node " + name + b": " + bytes(reason),
                     )
-                if self.client_id is not None:
+                if session.client_id is not None:
                     # Exactly-once session: the same batch_seq resent is
                     # replayed from dedup by any node that applied its
                     # slice, so RETRY is the safe refusal.
@@ -798,242 +866,7 @@ class _Session:
                 f"router gather failed: {error}".encode(),
             )
 
-    async def _sender_loop(self) -> None:
-        while True:
-            item = await self.responses.get()
-            if item is None:
-                return
-            pending, release = item
-            try:
-                data = await pending
-            except asyncio.CancelledError:
-                raise
-            except Exception:
-                data = None
-            if release:
-                self.router._release(release)
-            if data is None:
-                continue
-            try:
-                self._writer.write(data)
-                await self._writer.drain()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                continue  # client gone; keep draining to release budget
-
-
-# ----------------------------------------------------------------------
-# The router itself
-# ----------------------------------------------------------------------
-
-class ClusterRouter:
-    """Stateless scatter/gather front for N serve nodes.
-
-    Construct on the event loop that will run it (it binds asyncio
-    primitives), or use :class:`RouterThread` for the sync harness.
-    """
-
-    def __init__(
-        self,
-        nodes: Sequence[NodeSpec],
-        config: Optional[ClusterConfig] = None,
-        assignment: Optional["np.ndarray"] = None,
-        telemetry: Optional[TelemetrySession] = None,
-    ) -> None:
-        self.config = config if config is not None else ClusterConfig()
-        self.nodes = self._validated_nodes(nodes)
-        if assignment is None:
-            assignment = HashRing([node.name for node in self.nodes]).assign(
-                self.config.total_shards
-            )
-        self.assignment = self._validated_assignment(assignment, len(self.nodes))
-        self.telemetry = (
-            telemetry if telemetry is not None else TelemetrySession.disabled()
-        )
-        registry = self.telemetry.registry
-        self._batches_total = registry.counter(
-            "repro_cluster_batches_total", "Batches routed"
-        )
-        self._clicks_total = registry.counter(
-            "repro_cluster_clicks_total", "Clicks routed"
-        )
-        self._subframes_total = registry.counter(
-            "repro_cluster_subframes_total",
-            "Per-node sub-frames forwarded",
-            labels=("node",),
-        )
-        self._refused_total = registry.counter(
-            "repro_cluster_refused_total",
-            "Batches refused OVERLOADED (router or node budget, or paused)",
-        )
-        self._corrupt_total = registry.counter(
-            "repro_cluster_corrupt_frames_total",
-            "Batches refused RETRY on a payload checksum mismatch",
-        )
-        self._connects_total = registry.counter(
-            "repro_cluster_node_connects_total",
-            "Upstream node connections established",
-            labels=("node",),
-        )
-        self._replays_total = registry.counter(
-            "repro_cluster_journal_replays_total",
-            "Journaled sub-frames replayed to a node restored behind its ack",
-        )
-        self._journal_overflow_total = registry.counter(
-            "repro_cluster_journal_overflow_total",
-            "Journal entries dropped on overflow (replay may be incomplete)",
-        )
-        self._inflight_gauge = registry.gauge(
-            "repro_cluster_inflight_bytes",
-            "Admitted-but-unanswered payload bytes at the router",
-        )
-        self._nodes_gauge = registry.gauge(
-            "repro_cluster_nodes", "Serve nodes behind the router"
-        )
-        self._nodes_gauge.set(len(self.nodes))
-        self.total_batches = 0
-        self.total_clicks = 0
-        self._generation = 0
-        self._paused = False
-        self._inflight_bytes = 0
-        self._outstanding = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._handlers: Set[asyncio.Task] = set()
-        self._sessions: Set[_Session] = set()
-        self._drained = asyncio.Event()
-        self._draining = False
-
-    @staticmethod
-    def _validated_nodes(nodes: Sequence[NodeSpec]) -> Tuple[NodeSpec, ...]:
-        nodes = tuple(nodes)
-        if not nodes:
-            raise ConfigurationError("need at least one node")
-        names = [node.name for node in nodes]
-        if len(set(names)) != len(names):
-            raise ConfigurationError(f"duplicate node names: {names}")
-        return nodes
-
-    def _validated_assignment(
-        self, assignment: "np.ndarray", num_nodes: int
-    ) -> "np.ndarray":
-        assignment = np.asarray(assignment, dtype=np.int64)
-        if assignment.shape != (self.config.total_shards,):
-            raise ConfigurationError(
-                f"assignment length {assignment.shape} does not match "
-                f"total_shards {self.config.total_shards}"
-            )
-        if not (0 <= int(assignment.min()) and int(assignment.max()) < num_nodes):
-            raise ConfigurationError(
-                f"assignment references nodes outside [0, {num_nodes})"
-            )
-        return assignment
-
-    # -- lifecycle ------------------------------------------------------
-
-    async def start(self) -> None:
-        if self._server is not None:
-            raise ConfigurationError("router already started")
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=self.config.host,
-            port=self.config.port,
-            limit=self.config.max_frame_bytes,
-        )
-
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise ConfigurationError("router not started")
-        return self._server.sockets[0].getsockname()[1]
-
-    async def wait_drained(self) -> None:
-        await self._drained.wait()
-
-    async def drain(self) -> None:
-        """Quiesce admission, flush in-flight batches, close sessions."""
-        if self._draining:
-            await self._drained.wait()
-            return
-        self._draining = True
-        self._paused = True
-        await self._idle.wait()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for task in list(self._handlers):
-            task.cancel()
-        if self._handlers:
-            await asyncio.gather(*list(self._handlers), return_exceptions=True)
-        self._drained.set()
-
-    async def quiesce(self) -> None:
-        """Pause admission and wait until no batch is in flight.
-
-        New batches are refused ``OVERLOADED`` until :meth:`resume`;
-        existing connections stay open.  The cluster checkpoint barrier
-        and rebalance both run inside this window.
-        """
-        self._paused = True
-        await self._idle.wait()
-
-    async def resume(self) -> None:
-        self._paused = False
-
-    async def reconfigure(
-        self,
-        nodes: Sequence[NodeSpec],
-        assignment: Optional["np.ndarray"] = None,
-    ) -> None:
-        """Swap the node set/assignment (router must be quiesced).
-
-        Client connections survive; their node channels are torn down
-        and rebuilt lazily against the new fleet.
-        """
-        if not self._paused:
-            raise ConfigurationError("reconfigure requires a quiesced router")
-        await self._idle.wait()
-        nodes = self._validated_nodes(nodes)
-        if assignment is None:
-            assignment = HashRing([node.name for node in nodes]).assign(
-                self.config.total_shards
-            )
-        self.assignment = self._validated_assignment(assignment, len(nodes))
-        self.nodes = nodes
-        self._generation += 1
-        self._nodes_gauge.set(len(nodes))
-        for session in list(self._sessions):
-            session._close_channels("cluster reconfigured")
-
-    async def clear_journals(self) -> None:
-        """Drop replay journals (call only at a checkpoint barrier:
-        every node has durably applied everything the journals cover)."""
-        for session in list(self._sessions):
-            for channel in session.channels.values():
-                channel.journal.clear()
-
     # -- bookkeeping ----------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        session = _Session(self, reader, writer)
-        task = asyncio.current_task()
-        self._handlers.add(task)
-        self._sessions.add(session)
-        try:
-            await session.run()
-        finally:
-            self._sessions.discard(session)
-            self._handlers.discard(task)
-
-    def _charge(self, nbytes: int) -> None:
-        self._inflight_bytes += nbytes
-        self._inflight_gauge.set(self._inflight_bytes)
-
-    def _release(self, nbytes: int) -> None:
-        self._inflight_bytes -= nbytes
-        self._inflight_gauge.set(self._inflight_bytes)
 
     def _begin_batch(self) -> None:
         self._outstanding += 1
@@ -1045,11 +878,10 @@ class ClusterRouter:
             self._idle.set()
 
 
-class RouterThread:
+class RouterThread(LoopThread):
     """Run a :class:`ClusterRouter` on a background event loop.
 
-    The sync harness mirror of :class:`~repro.serve.server.ServerThread`:
-    cluster orchestration (quiesce/resume/reconfigure/drain) is exposed
+    Cluster orchestration (quiesce/resume/reconfigure/drain) is exposed
     as thread-safe blocking calls.
     """
 
@@ -1060,82 +892,29 @@ class RouterThread:
         assignment: Optional["np.ndarray"] = None,
         telemetry: Optional[TelemetrySession] = None,
     ) -> None:
-        self._nodes = nodes
-        self._config = config
-        self._assignment = assignment
-        self._telemetry = telemetry
-        self.router: Optional[ClusterRouter] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self.port: Optional[int] = None
-
-    def start(self, timeout: float = 10.0) -> "RouterThread":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-cluster-router", daemon=True
+        super().__init__(
+            lambda: ClusterRouter(
+                nodes, config=config, assignment=assignment, telemetry=telemetry
+            ),
+            "repro-cluster-router",
         )
-        self._thread.start()
-        if not self._started.wait(timeout):
-            raise ConfigurationError("router thread failed to start in time")
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self
 
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        try:
-            self.router = ClusterRouter(
-                self._nodes,
-                config=self._config,
-                assignment=self._assignment,
-                telemetry=self._telemetry,
-            )
-            await self.router.start()
-            self.port = self.router.port
-            self._loop = asyncio.get_running_loop()
-        except BaseException as error:  # surface to start()
-            self._startup_error = error
-            self._started.set()
-            return
-        self._started.set()
-        await self.router.wait_drained()
-
-    def _call(self, coro, timeout: float = 30.0):
-        if self._loop is None:
-            raise ConfigurationError("router thread not running")
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(timeout)
+    @property
+    def router(self) -> Optional[ClusterRouter]:
+        return self.service
 
     def quiesce(self, timeout: float = 30.0) -> None:
-        self._call(self.router.quiesce(), timeout)
+        self._call(self.router.quiesce, timeout=timeout)
 
     def resume(self) -> None:
-        self._call(self.router.resume())
+        self._call(self.router.resume)
 
     def reconfigure(
         self,
         nodes: Sequence[NodeSpec],
         assignment: Optional["np.ndarray"] = None,
     ) -> None:
-        self._call(self.router.reconfigure(nodes, assignment))
+        self._call(self.router.reconfigure, nodes, assignment)
 
     def clear_journals(self) -> None:
-        self._call(self.router.clear_journals())
-
-    def stop(self, timeout: float = 30.0) -> None:
-        """Drain gracefully and join the loop thread."""
-        if self._loop is None or self.router is None:
-            return
-        future = asyncio.run_coroutine_threadsafe(self.router.drain(), self._loop)
-        future.result(timeout)
-        if self._thread is not None:
-            self._thread.join(timeout)
-        self._loop = None
-
-    def __enter__(self) -> "RouterThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        self._call(self.router.clear_journals)

@@ -18,11 +18,12 @@ Client → server frame types:
     (:meth:`repro.streams.click.IdentifierScheme.identify_batch`) — the
     paper's model where "each click has a predefined identifier" — so
     the server's hot path goes straight from bytes to arrays with no
-    per-click Python work.  Timestamps must be non-decreasing within
-    and across batches of one connection when the detector is
-    time-based; *across* connections the server merges and clamps
-    bounded clock skew itself (``ServeConfig.skew_tolerance``), so
-    clients need not share a clock.
+    per-click Python work.  Timestamps must be finite and
+    non-decreasing within a batch (a batch breaking either is refused
+    with ``ERROR``), and across batches of one connection when the
+    detector is time-based; *across* connections the server merges
+    and clamps bounded clock skew itself (``ServeConfig.skew_tolerance``),
+    so clients need not share a clock.
 ``PING`` (0x02)
     Health probe; empty payload.
 ``HELLO`` (0x03)
@@ -104,6 +105,7 @@ convenient for ``nc``/``telnet`` poking, an order of magnitude slower.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from typing import Optional, Tuple
@@ -138,6 +140,7 @@ __all__ = [
     "decode_hello_payload",
     "encode_batch",
     "decode_batch_payload",
+    "check_timestamps",
     "encode_verdicts",
     "decode_verdicts_payload",
     "ProtocolError",
@@ -323,9 +326,30 @@ def decode_batch_payload(payload: bytes) -> Tuple["np.ndarray", "np.ndarray"]:
     records = np.frombuffer(payload, dtype=RECORD_DTYPE)
     identifiers = records["identifier"]
     timestamps = records["timestamp"]
-    if timestamps.shape[0] > 1 and bool((np.diff(timestamps) < 0).any()):
-        raise ProtocolError("batch timestamps regress; streams must be time-ordered")
+    check_timestamps(timestamps)
     return identifiers, timestamps
+
+
+def check_timestamps(timestamps: "np.ndarray") -> None:
+    """Refuse a batch whose timestamps regress or are not finite.
+
+    One vectorized pass: ``diff >= 0`` is false both for a regression
+    and for a NaN, and a non-decreasing run with finite ends holds no
+    infinity, so only the two end stamps need ``isfinite``.  A refused
+    batch never reaches a detector, whose clock would otherwise jump to
+    the bad stamp.
+    """
+    if timestamps.shape[0] == 0:
+        return
+    if not bool((np.diff(timestamps) >= 0).all()):
+        raise ProtocolError(
+            "batch timestamps regress or are NaN; streams must be time-ordered"
+        )
+    first, last = float(timestamps[0]), float(timestamps[-1])
+    if not (math.isfinite(first) and math.isfinite(last)):
+        raise ProtocolError(
+            f"batch timestamps must be finite, got {first!r} .. {last!r}"
+        )
 
 
 def encode_verdicts(request_id: int, verdicts: "np.ndarray") -> bytes:

@@ -6,13 +6,20 @@ Architecture (one process, one event loop)::
     conn reader ──┼─▶ admission ─▶ queue ─▶ engine ──┼── conn sender
     conn reader ──┘   control              task      └── conn sender
 
-* **Readers** parse frames (binary or JSONL, sniffed from the first
-  bytes) and apply *admission control*: every batch charges its payload
-  bytes against a per-connection and a global inflight budget; a batch
-  that would exceed either is refused with an explicit ``OVERLOADED``
-  response — never buffered unboundedly.  Malformed frames are
-  dead-lettered and answered with ``ERROR``; the connection survives
-  unless stream sync itself is lost.
+* **Readers and senders** are the RPK1 front-end shared with the
+  cluster router (:mod:`repro.serve.frontend`), and this server is its
+  engine backend.  The front-end sniffs binary vs. JSONL, answers
+  ``PING``/``HELLO``, refuses a malformed frame with ``ERROR`` (or a
+  checksum mismatch with ``RETRY``) before the server sees it, and
+  writes each connection's responses strictly in request order —
+  every request (verdicts, pong, overloaded, error alike) enqueues a
+  future at read time — releasing inflight bytes only after the
+  response hits the socket.  The server dead-letters the refused
+  frames; the connection survives unless stream sync itself is lost.
+* **Admission control**: every decoded batch charges its payload bytes
+  against a per-connection and a global inflight budget; a batch that
+  would exceed either is refused with an explicit ``OVERLOADED``
+  response — never buffered unboundedly.
 * **The engine task** is the single consumer: it runs the
   :class:`~repro.serve.coalescer.Coalescer` (size/time-bounded
   grouping), classifies each group with one
@@ -27,11 +34,6 @@ Architecture (one process, one event loop)::
   the detector a regressing stream.  A group the detector still
   refuses fails *those requests* with ``ERROR`` — the engine loop
   itself never dies with futures pending.
-* **Senders** write responses strictly in each connection's request
-  order: every request (verdicts, pong, overloaded, error alike)
-  enqueues a future at read time, and the sender awaits and writes them
-  FIFO.  Inflight bytes are released only after the response hits the
-  socket.
 
 Graceful drain (``SIGTERM`` → :meth:`ClickIngestServer.drain`): stop
 accepting, cancel the readers (un-acknowledged frames are the client's
@@ -44,12 +46,11 @@ from __future__ import annotations
 
 import asyncio
 import base64
-import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -69,30 +70,20 @@ from ..telemetry.requesttrace import (
     new_span_id,
     set_current_trace,
 )
+from .background import LoopThread
 from .coalescer import Coalescer
+from .frontend import Backend, BatchFrame, Frontend, Session
 from .protocol import (
     DEFAULT_MAX_FRAME_BYTES,
-    FLAG_CHECKSUM,
-    FRAME_BATCH,
     FRAME_ERROR,
-    FRAME_HELLO,
-    FRAME_HELLO_ACK,
     FRAME_OVERLOADED,
-    FRAME_PING,
-    FRAME_PONG,
     FRAME_RETRY,
-    HEADER,
-    MAGIC,
-    checksum16,
-    split_trace_payload,
-    decode_batch_payload,
-    decode_hello_payload,
+    check_timestamps,
     decode_jsonl_line,
     encode_frame,
     encode_jsonl_line,
     encode_verdicts,
 )
-from .protocol import _U64
 
 __all__ = ["ServeConfig", "ClickIngestServer", "ServerThread"]
 
@@ -101,6 +92,15 @@ __all__ = ["ServeConfig", "ClickIngestServer", "ServerThread"]
 _CHECKPOINT_KIND = "serve"
 
 _BATCH_BUCKETS = (1.0, 64.0, 256.0, 1024.0, 4096.0, 8192.0, 16384.0, 65536.0)
+
+
+async def _cancel(task: asyncio.Task) -> None:
+    """Cancel ``task`` and wait for it to end, whatever it ends with."""
+    task.cancel()
+    try:
+        await task
+    except (Exception, asyncio.CancelledError):
+        pass
 
 
 @dataclass(frozen=True)
@@ -350,12 +350,11 @@ class _Request:
     """One admitted batch awaiting the engine."""
 
     __slots__ = (
-        "connection",
+        "session",
         "request_id",
         "identifiers",
         "timestamps",
         "count",
-        "wire_bytes",
         "jsonl",
         "future",
         "enqueued_at",
@@ -364,12 +363,11 @@ class _Request:
         "trace",
     )
 
-    connection: "_Connection"
+    session: Session
     request_id: int
     identifiers: "np.ndarray"
     timestamps: "np.ndarray"
     count: int
-    wire_bytes: int
     jsonl: bool
     future: "asyncio.Future"
     enqueued_at: float
@@ -386,21 +384,7 @@ class _Request:
     trace: Optional[Tuple[int, int]]
 
 
-@dataclass
-class _Connection:
-    """Per-connection state shared by its reader and sender tasks."""
-
-    writer: asyncio.StreamWriter
-    #: FIFO of ``(future-of-bytes, release_bytes)``; ``None`` ends the
-    #: sender.  Request order in == response order out.
-    responses: "asyncio.Queue" = field(default_factory=asyncio.Queue)
-    inflight_bytes: int = 0
-    peer: str = ""
-    #: Set by ``HELLO``: this connection's idempotency identity.
-    client_id: Optional[int] = None
-
-
-class ClickIngestServer:
+class ClickIngestServer(Backend):
     """Serve a duplicate detector over TCP (binary frames or JSONL).
 
     Generic over every detector variant via the one detector contract
@@ -468,15 +452,6 @@ class ClickIngestServer:
             telemetry=self.telemetry,
         )
         registry = self.telemetry.registry
-        self._connections_total = registry.counter(
-            "repro_serve_connections_total", "Connections accepted"
-        )
-        self._connections_active = registry.gauge(
-            "repro_serve_connections_active", "Connections currently open"
-        )
-        self._inflight_gauge = registry.gauge(
-            "repro_serve_inflight_bytes", "Admitted-but-unanswered payload bytes"
-        )
         self._clicks_total = registry.counter(
             "repro_serve_clicks_total", "Clicks classified by the server"
         )
@@ -514,10 +489,6 @@ class ClickIngestServer:
             "repro_serve_checkpoint_failures_total",
             "Checkpoint write attempts that failed",
         )
-        self._corrupt_frames_total = registry.counter(
-            "repro_serve_corrupt_frames_total",
-            "Batches refused with RETRY on a payload checksum mismatch",
-        )
         # Per-request latency decomposition (docs/observability.md §2):
         # labelled stage histograms plus exact streaming p50/p95/p99
         # gauges, refreshed on the session's snapshot cadence.  Appended
@@ -539,10 +510,13 @@ class ClickIngestServer:
             if self.config.trace_dir is not None
             else None
         )
-        self._inflight_bytes = 0
+        self.frontend = Frontend(
+            self, self.config, registry, "repro_serve",
+            session_inflight_bytes=self.config.connection_inflight_bytes,
+            stages=self._stages,
+        )
         self._queue: "asyncio.Queue" = asyncio.Queue()
         self._coalescer = Coalescer(self.config.max_batch, self.config.max_delay)
-        self._server: Optional[asyncio.base_events.Server] = None
         self._engine_task: Optional[asyncio.Task] = None
         self._engine_error: Optional[BaseException] = None
         self._watchdog_task: Optional[asyncio.Task] = None
@@ -551,7 +525,6 @@ class ClickIngestServer:
         #: the monotonic instant the engine last made progress.
         self._engine_busy = False
         self._engine_heartbeat = time.monotonic()
-        self._handlers: Set[asyncio.Task] = set()
         self._drained = asyncio.Event()
         self._draining = False
         self._engine_clicks = 0
@@ -588,23 +561,14 @@ class ClickIngestServer:
     @property
     def port(self) -> int:
         """The bound port (useful with ``port=0``)."""
-        if self._server is None:
-            raise ConfigurationError("server not started")
-        return self._server.sockets[0].getsockname()[1]
+        return self.frontend.port
 
     async def start(self) -> None:
         """Bind, spawn the engine task, and begin accepting."""
-        if self._server is not None:
-            raise ConfigurationError("server already started")
+        await self.frontend.start()
         self._engine_task = asyncio.create_task(self._engine_loop())
         if self.config.watchdog_interval > 0:
             self._watchdog_task = asyncio.create_task(self._watchdog_loop())
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=self.config.host,
-            port=self.config.port,
-            limit=self.config.max_frame_bytes,
-        )
 
     async def wait_drained(self) -> None:
         """Block until :meth:`drain` has completed."""
@@ -626,25 +590,15 @@ class ClickIngestServer:
         if self._watchdog_task is not None:
             # Stop the watchdog first so it cannot restart the engine
             # while drain is waiting for it to exit.
-            self._watchdog_task.cancel()
-            try:
-                await self._watchdog_task
-            except (Exception, asyncio.CancelledError):
-                pass
+            await _cancel(self._watchdog_task)
             self._watchdog_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        # Cancel readers only: their handler tasks swallow the
-        # cancellation and keep flushing responses.
-        for task in list(self._handlers):
-            task.cancel()
+        # Readers stop; their sessions keep flushing responses.
+        self.frontend.stop_reading()
         await self._queue.put(None)  # drain sentinel: flush + exit
         await self._drain_engine()
         if self._engine_error is not None:
             self._abort_pending(f"engine failed: {self._engine_error}")
-        if self._handlers:
-            await asyncio.gather(*list(self._handlers), return_exceptions=True)
+        await self.frontend.wait_closed()
         if self._engine_owned:
             # Write the workers' final state back into the base
             # detector so the checkpoint reflects every click served.
@@ -699,11 +653,7 @@ class ClickIngestServer:
                     await asyncio.wait_for(asyncio.shield(task), stall + 1.0)
                 return
             except asyncio.TimeoutError:
-                task.cancel()
-                try:
-                    await task
-                except (Exception, asyncio.CancelledError):
-                    pass
+                await _cancel(task)
                 self._restart_engine("engine wedged during drain")
                 task = self._engine_task
                 # The wedged task may have consumed the sentinel already;
@@ -711,11 +661,7 @@ class ClickIngestServer:
                 await self._queue.put(None)
             except (Exception, asyncio.CancelledError):
                 return
-        task.cancel()
-        try:
-            await task
-        except (Exception, asyncio.CancelledError):
-            pass
+        await _cancel(task)
         # Wedges every time it is restarted: give up and fail static so
         # the pending requests are ERRORed instead of hanging the drain.
         self.flight.record("wedged", phase="drain")
@@ -789,207 +735,73 @@ class ClickIngestServer:
             self.flight.record("checkpoint", ok=True, attempt=attempt)
             return
 
-    # -- connection handling -------------------------------------------
+    # -- the front-end's backend hooks ---------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    def frame_refused(
+        self, response_type: int, request_id: int, item, reason: str
     ) -> None:
-        peername = writer.get_extra_info("peername")
-        conn = _Connection(writer=writer, peer=str(peername))
-        self._connections_total.inc()
-        self._connections_active.inc()
-        self._handlers.add(asyncio.current_task())
-        sender = asyncio.create_task(self._sender_loop(conn))
-        try:
-            await self._reader_loop(conn, reader)
-        except asyncio.CancelledError:
-            pass  # drain: stop reading; pending responses still flush
-        except (asyncio.IncompleteReadError, ConnectionResetError,
-                BrokenPipeError, OSError):
-            pass  # torn mid-frame (e.g. a truncated delivery): drop it
-        finally:
-            try:
-                conn.responses.put_nowait(None)
-                try:
-                    await asyncio.shield(sender)
-                except asyncio.CancelledError:
-                    try:
-                        await sender
-                    except asyncio.CancelledError:
-                        # Loop teardown (abrupt kill) cancelled the sender
-                        # too; swallow so the socket below still closes —
-                        # a leaked fd keeps peers hanging instead of
-                        # seeing EOF.
-                        pass
-                try:
-                    writer.close()
-                    await writer.wait_closed()
-                except (asyncio.CancelledError, ConnectionResetError,
-                        BrokenPipeError, OSError):
-                    # drain() cancels every handler to stop its reader,
-                    # then waits for it.  One already here, waiting for
-                    # its socket to close, has nothing left to stop;
-                    # ending it cancelled would only make asyncio log
-                    # the cancellation as an error.
-                    pass
-            finally:
-                self._handlers.discard(asyncio.current_task())
-                self._connections_active.dec()
+        if response_type == FRAME_RETRY:
+            self.flight.record("retry", request_id=request_id)
+        self._dead_letter(item, reason)
 
-    async def _reader_loop(
-        self, conn: _Connection, reader: asyncio.StreamReader
-    ) -> None:
-        try:
-            sniff = await reader.readexactly(len(MAGIC))
-        except asyncio.IncompleteReadError:
+    async def hello(self, session: Session, client_id: int) -> int:
+        if not self._dedup.enabled:
+            return 0
+        session.client_id = client_id
+        return self._dedup.hello(client_id)
+
+    def batch(self, session: Session, frame: BatchFrame) -> None:
+        request_id = frame.request_id
+        if session.client_id is not None and self._handle_duplicate(
+            session, request_id
+        ):
             return
-        if sniff == MAGIC:
-            await self._binary_loop(conn, reader)
-        else:
-            await self._jsonl_loop(conn, reader, sniff)
-
-    async def _binary_loop(
-        self, conn: _Connection, reader: asyncio.StreamReader
-    ) -> None:
-        while True:
-            try:
-                header = await reader.readexactly(HEADER.size)
-            except asyncio.IncompleteReadError:
-                return
-            frame_type, flags, reserved, request_id, payload_len = HEADER.unpack(header)
-            if payload_len > self.config.max_frame_bytes:
-                # Stream sync would require skipping an absurd payload
-                # from a peer already breaking the contract: dead-letter
-                # and hang up.
-                self._dead_letter(
-                    header, f"payload {payload_len} exceeds cap"
-                )
-                self._respond_now(
-                    conn,
-                    encode_frame(FRAME_ERROR, request_id, b"payload too large"),
-                )
-                return
-            payload = await reader.readexactly(payload_len)
-            if frame_type == FRAME_PING:
-                self._respond_now(conn, encode_frame(FRAME_PONG, request_id))
-                continue
-            if frame_type == FRAME_HELLO:
-                try:
-                    client_id = decode_hello_payload(payload)
-                except ProtocolError as error:
-                    self._dead_letter(payload[:64], str(error))
-                    self._respond_now(
-                        conn,
-                        encode_frame(FRAME_ERROR, request_id, str(error).encode()),
-                    )
-                    continue
-                conn.client_id = client_id if self._dedup.enabled else None
-                applied = (
-                    self._dedup.hello(client_id) if self._dedup.enabled else 0
-                )
-                self._respond_now(
-                    conn,
-                    encode_frame(FRAME_HELLO_ACK, request_id, _U64.pack(applied)),
-                )
-                continue
-            if frame_type != FRAME_BATCH:
-                reason = f"unknown frame type 0x{frame_type:02X}"
-                self._dead_letter(payload[:64], reason)
-                self._respond_now(
-                    conn, encode_frame(FRAME_ERROR, request_id, reason.encode())
-                )
-                continue
-            if flags & FLAG_CHECKSUM and checksum16(payload) != reserved:
-                # Damaged in transit: refuse as transient (RETRY) so the
-                # client resends the same bytes — unlike ERROR, nothing
-                # about the batch itself was wrong.
-                self._corrupt_frames_total.inc()
-                self.flight.record("retry", request_id=request_id)
-                self._dead_letter(
-                    header, f"payload checksum mismatch on request {request_id}"
-                )
-                self._respond_now(
-                    conn,
-                    encode_frame(
-                        FRAME_RETRY, request_id, b"payload damaged in transit"
-                    ),
-                )
-                continue
-            if conn.client_id is not None and self._handle_duplicate(
-                conn, request_id
-            ):
-                continue
-            wire_bytes = len(payload)
-            if not self._admit(conn, wire_bytes):
-                self._overloaded_total.inc()
-                self.flight.record(
-                    "refused", request_id=request_id, bytes=wire_bytes
-                )
-                self._respond_now(
-                    conn,
-                    encode_frame(
-                        FRAME_OVERLOADED, request_id, b"inflight budget full"
-                    ),
-                )
-                continue
-            stages = self._stages
-            try:
-                decode_t0 = time.perf_counter() if stages is not None else 0.0
-                trace, records = split_trace_payload(flags, payload)
-                identifiers, timestamps = decode_batch_payload(records)
-                if stages is not None:
-                    stages.observe("decode", time.perf_counter() - decode_t0)
-            except ProtocolError as error:
-                self._release(conn, wire_bytes)
-                self._dead_letter(payload[:64], str(error))
-                self._respond_now(
-                    conn, encode_frame(FRAME_ERROR, request_id, str(error).encode())
-                )
-                continue
-            self.flight.record(
-                "frame",
-                request_id=request_id,
-                clicks=int(identifiers.shape[0]),
-                bytes=wire_bytes,
+        wire_bytes = len(frame.payload)
+        if not self.frontend.admit(session, wire_bytes):
+            self._overloaded_total.inc()
+            self.flight.record("refused", request_id=request_id, bytes=wire_bytes)
+            session.respond(
+                encode_frame(FRAME_OVERLOADED, request_id, b"inflight budget full")
             )
-            dedup_key = (
-                (conn.client_id, request_id)
-                if conn.client_id is not None
+            return
+        self.flight.record(
+            "frame",
+            request_id=request_id,
+            clicks=int(frame.identifiers.shape[0]),
+            bytes=wire_bytes,
+        )
+        self._enqueue(
+            session,
+            request_id,
+            frame.identifiers,
+            frame.timestamps,
+            wire_bytes,
+            jsonl=False,
+            dedup_key=(
+                (session.client_id, request_id)
+                if session.client_id is not None
                 else None
-            )
-            await self._enqueue(
-                conn,
-                request_id,
-                identifiers,
-                timestamps,
-                wire_bytes,
-                jsonl=False,
-                dedup_key=dedup_key,
-                trace=trace,
-            )
+            ),
+            trace=frame.trace,
+        )
 
-    async def _jsonl_loop(
-        self, conn: _Connection, reader: asyncio.StreamReader, sniffed: bytes
+    async def jsonl(
+        self, session: Session, reader: asyncio.StreamReader, first: bytes
     ) -> None:
-        first = True
+        """Serve newline-delimited JSON requests (the debugging mode)."""
         while True:
             try:
-                if first:
-                    line = sniffed + await reader.readline()
-                    first = False
-                else:
-                    line = await reader.readline()
+                line = first + await reader.readline()
             except ValueError as error:
                 # A line above max_frame_bytes (StreamReader's limit):
                 # the reader dropped the partial line, so framing is
                 # lost — mirror the binary oversized-payload path:
                 # dead-letter, answer, hang up.
                 reason = f"JSONL line exceeds frame cap: {error}"
-                self._dead_letter(conn.peer, reason)
-                self._respond_now(
-                    conn, encode_jsonl_line({"id": 0, "error": reason})
-                )
+                self._dead_letter(session.peer, reason)
+                session.respond(encode_jsonl_line({"id": 0, "error": reason}))
                 return
+            first = b""
             if not line:
                 return
             stripped = line.strip()
@@ -1000,69 +812,49 @@ class ClickIngestServer:
                 message = decode_jsonl_line(stripped)
                 request_id = int(message.get("id", 0))
                 if message.get("ping"):
-                    self._respond_now(
-                        conn, encode_jsonl_line({"id": request_id, "pong": True})
+                    session.respond(
+                        encode_jsonl_line({"id": request_id, "pong": True})
                     )
                     continue
-                clicks = [
-                    click_from_record(record) for record in message["clicks"]
-                ]
-            except (ProtocolError, KeyError, TypeError, ValueError) as error:
+                identifiers, timestamps = self._identify(message["clicks"])
+            except (
+                ProtocolError, LookupError, TypeError, ValueError, ArithmeticError
+            ) as error:
                 reason = f"bad JSONL request: {error}"
                 self._dead_letter(stripped[:256], reason)
-                self._respond_now(
-                    conn,
-                    encode_jsonl_line({"id": request_id, "error": reason}),
+                session.respond(
+                    encode_jsonl_line({"id": request_id, "error": reason})
                 )
                 continue
             wire_bytes = len(line)
-            if not self._admit(conn, wire_bytes):
+            if not self.frontend.admit(session, wire_bytes):
                 self._overloaded_total.inc()
-                self._respond_now(
-                    conn,
+                session.respond(
                     encode_jsonl_line(
                         {"id": request_id, "overloaded": "inflight budget full"}
-                    ),
+                    )
                 )
                 continue
-            if clicks:
-                identifiers = self.config.scheme.identify_batch(clicks)
-                timestamps = np.fromiter(
-                    (click.timestamp for click in clicks),
-                    dtype=np.float64,
-                    count=len(clicks),
-                )
-            else:
-                identifiers = np.empty(0, dtype=np.uint64)
-                timestamps = np.empty(0, dtype=np.float64)
-            await self._enqueue(
-                conn, request_id, identifiers, timestamps, wire_bytes, jsonl=True
+            self._enqueue(
+                session, request_id, identifiers, timestamps, wire_bytes, jsonl=True
             )
 
-    # -- admission control ---------------------------------------------
+    def _identify(self, records) -> Tuple["np.ndarray", "np.ndarray"]:
+        """JSONL click records -> (identifiers, timestamps), checked like
+        a binary batch; raises on any malformed record."""
+        clicks = [click_from_record(record) for record in records]
+        if not clicks:
+            return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64)
+        identifiers = self.config.scheme.identify_batch(clicks)
+        timestamps = np.fromiter(
+            (click.timestamp for click in clicks),
+            dtype=np.float64,
+            count=len(clicks),
+        )
+        check_timestamps(timestamps)
+        return identifiers, timestamps
 
-    def _admit(self, conn: _Connection, nbytes: int) -> bool:
-        if conn.inflight_bytes + nbytes > self.config.connection_inflight_bytes:
-            return False
-        if self._inflight_bytes + nbytes > self.config.max_inflight_bytes:
-            return False
-        conn.inflight_bytes += nbytes
-        self._inflight_bytes += nbytes
-        self._inflight_gauge.set(self._inflight_bytes)
-        return True
-
-    def _release(self, conn: _Connection, nbytes: int) -> None:
-        conn.inflight_bytes -= nbytes
-        self._inflight_bytes -= nbytes
-        self._inflight_gauge.set(self._inflight_bytes)
-
-    def _respond_now(self, conn: _Connection, data: bytes) -> None:
-        """Enqueue an already-final response, keeping FIFO order."""
-        future = asyncio.get_running_loop().create_future()
-        future.set_result(data)
-        conn.responses.put_nowait((future, 0))
-
-    def _handle_duplicate(self, conn: _Connection, seq: int) -> bool:
+    def _handle_duplicate(self, session: Session, seq: int) -> bool:
         """Answer a retried ``(client_id, seq)`` without re-applying it.
 
         Returns True when the batch was recognised as a duplicate and a
@@ -1070,12 +862,12 @@ class ClickIngestServer:
         an already-applied notice) was enqueued — the caller must then
         *not* admit the batch.  False means the key is new.
         """
-        status, cached = self._dedup.lookup(conn.client_id, seq)
+        status, cached = self._dedup.lookup(session.client_id, seq)
         if status == "new":
             return False
         self._dedup_hits_total.inc()
         if status == "replay":
-            self._respond_now(conn, cached)
+            session.respond(cached)
         elif status == "pending":
             # The first copy is still in flight: give this connection a
             # future that resolves to the same response bytes.  A
@@ -1097,10 +889,9 @@ class ClickIngestServer:
                     mirror.set_result(done.result())
 
             cached.add_done_callback(_copy)
-            conn.responses.put_nowait((mirror, 0))
+            session.respond_later(mirror, 0)
         else:  # "applied": correctness holds, the response is gone
-            self._respond_now(
-                conn,
+            session.respond(
                 encode_frame(
                     FRAME_ERROR,
                     seq,
@@ -1110,9 +901,9 @@ class ClickIngestServer:
             )
         return True
 
-    async def _enqueue(
+    def _enqueue(
         self,
-        conn: _Connection,
+        session: Session,
         request_id: int,
         identifiers: "np.ndarray",
         timestamps: "np.ndarray",
@@ -1122,15 +913,14 @@ class ClickIngestServer:
         trace: Optional[Tuple[int, int]] = None,
     ) -> None:
         future = asyncio.get_running_loop().create_future()
-        conn.responses.put_nowait((future, wire_bytes))
+        session.respond_later(future, wire_bytes)
         now = time.monotonic()
         request = _Request(
-            connection=conn,
+            session=session,
             request_id=request_id,
             identifiers=identifiers,
             timestamps=timestamps,
             count=int(identifiers.shape[0]),
-            wire_bytes=wire_bytes,
             jsonl=jsonl,
             future=future,
             enqueued_at=now,
@@ -1152,40 +942,7 @@ class ClickIngestServer:
             # request just waits in the queue for the restarted engine.)
             self._fail_request(request, f"engine failed: {self._engine_error}")
             return
-        await self._queue.put(request)
-
-    async def _sender_loop(self, conn: _Connection) -> None:
-        """Write responses strictly in request order; release budgets."""
-        while True:
-            entry = await conn.responses.get()
-            if entry is None:
-                return
-            future, release = entry
-            try:
-                data = await future
-            except asyncio.CancelledError:
-                data = None
-            if data is not None:
-                # Time the write+drain only for real request responses
-                # (release > 0) — control frames would skew the stage.
-                stages = self._stages if release else None
-                write_t0 = (
-                    time.perf_counter() if stages is not None else 0.0
-                )
-                try:
-                    conn.writer.write(data)
-                    await conn.writer.drain()
-                except (ConnectionResetError, BrokenPipeError, OSError):
-                    # Peer went away; keep consuming so budgets release
-                    # and the engine's work is not blocked.
-                    pass
-                else:
-                    if stages is not None:
-                        stages.observe(
-                            "response_write", time.perf_counter() - write_t0
-                        )
-            if release:
-                self._release(conn, release)
+        self._queue.put_nowait(request)
 
     # -- the engine ----------------------------------------------------
 
@@ -1243,11 +1000,7 @@ class ClickIngestServer:
                 self._engine_busy
                 and time.monotonic() - self._engine_heartbeat > stall_after
             ):
-                task.cancel()
-                try:
-                    await task
-                except (Exception, asyncio.CancelledError):
-                    pass
+                await _cancel(task)
                 self._restart_engine(
                     f"engine wedged > {stall_after}s on one group"
                 )
@@ -1509,7 +1262,7 @@ class ClickIngestServer:
                     "timestamps"
                 )
                 self._dead_letter(
-                    f"request {request.request_id} from {request.connection.peer}",
+                    f"request {request.request_id} from {request.session.peer}",
                     reason,
                 )
                 self._fail_request(request, reason)
@@ -1557,7 +1310,7 @@ class ClickIngestServer:
             self.dead_letters.record(item, reason)
 
 
-class ServerThread:
+class ServerThread(LoopThread):
     """Run a :class:`ClickIngestServer` on a background event loop.
 
     The synchronous harness for tests, benchmarks, and embedding: start
@@ -1574,94 +1327,31 @@ class ServerThread:
         dead_letters: Optional[DeadLetterSink] = None,
         fault_hooks=None,
     ) -> None:
-        self._detector = detector
-        self._config = config
-        self._telemetry = telemetry
-        self._dead_letters = dead_letters
-        self._fault_hooks = fault_hooks
-        self.server: Optional[ClickIngestServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._kill: Optional[asyncio.Event] = None
-        self.port: Optional[int] = None
-
-    def start(self, timeout: float = 10.0) -> "ServerThread":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True
+        super().__init__(
+            lambda: ClickIngestServer(
+                detector,
+                config=config,
+                telemetry=telemetry,
+                dead_letters=dead_letters,
+                fault_hooks=fault_hooks,
+            ),
+            "repro-serve",
         )
-        self._thread.start()
-        if not self._started.wait(timeout):
-            raise ConfigurationError("serve thread failed to start in time")
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self
 
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        try:
-            # The server binds asyncio primitives at construction, so it
-            # must be built on the loop that will run it.
-            self.server = ClickIngestServer(
-                self._detector,
-                config=self._config,
-                telemetry=self._telemetry,
-                dead_letters=self._dead_letters,
-                fault_hooks=self._fault_hooks,
-            )
-            await self.server.start()
-            self.port = self.server.port
-            self._loop = asyncio.get_running_loop()
-            self._kill = asyncio.Event()
-        except BaseException as error:  # surface to start()
-            self._startup_error = error
-            self._started.set()
-            return
-        self._started.set()
-        drained = asyncio.create_task(self.server.wait_drained())
-        killed = asyncio.create_task(self._kill.wait())
-        done, pending = await asyncio.wait(
-            {drained, killed}, return_when=asyncio.FIRST_COMPLETED
-        )
-        for task in pending:
-            task.cancel()
-        if killed in done and drained not in done:
-            # Abrupt death: close the listening socket and return
-            # without draining or checkpointing.  ``asyncio.run``
-            # cancels every remaining task on exit, so in-flight work
-            # simply vanishes — the closest a thread can get to
-            # simulating SIGKILL for failover tests.
-            if self.server._server is not None:
-                self.server._server.close()
-
-    def stop(self, timeout: float = 30.0) -> None:
-        """Drain gracefully and join the loop thread."""
-        if self._loop is None or self.server is None:
-            return
-        future = asyncio.run_coroutine_threadsafe(self.server.drain(), self._loop)
-        future.result(timeout)
-        if self._thread is not None:
-            self._thread.join(timeout)
-        self._loop = None
+    @property
+    def server(self) -> Optional[ClickIngestServer]:
+        return self.service
 
     def kill(self, timeout: float = 10.0) -> None:
         """Terminate abruptly: no drain, no checkpoint, no goodbyes.
 
+        Only the listening socket is closed; the loop's exit cancels
+        everything in flight — the closest a thread can get to SIGKILL.
         The server's durable state stays whatever the last checkpoint
         captured — exactly the crash the resume path is built for.
         """
-        if self._loop is None or self._kill is None:
-            return
-        try:
-            self._loop.call_soon_threadsafe(self._kill.set)
-        except RuntimeError:
-            pass  # loop already gone
-        if self._thread is not None:
-            self._thread.join(timeout)
-        self._loop = None
+        if self.server is not None:
+            self._halt(self.server.frontend.stop_listening, timeout)
 
     def checkpoint(self, timeout: float = 30.0) -> None:
         """Write a checkpoint now, without draining.
@@ -1670,16 +1360,7 @@ class ServerThread:
         cluster router's checkpoint barrier): the write runs on the
         event loop thread and captures detector + dedup state as-is.
         """
-        if self._loop is None or self.server is None:
-            raise ConfigurationError("serve thread not running")
+        self._call(self._checkpoint_on_loop, timeout=timeout)
 
-        async def _write() -> None:
-            self.server._checkpoint()
-
-        asyncio.run_coroutine_threadsafe(_write(), self._loop).result(timeout)
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    async def _checkpoint_on_loop(self) -> None:
+        self.server._checkpoint()

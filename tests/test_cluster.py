@@ -516,5 +516,5 @@ def test_router_drain_right_after_client_close(caplog, monkeypatch):
                 time.sleep(0.2)  # let the session reach its socket close
             finally:
                 cluster.drain()
-    assert not router._sessions and not router._handlers
+    assert not router.frontend.sessions
     assert "CancelledError" not in caplog.text

@@ -486,7 +486,7 @@ class TestDrainAndCheckpoint:
             # responses — not hang on them or strand inflight budget.
             thread.stop(timeout=15.0)
         assert thread.server.processed_clicks == 6_000
-        assert thread.server._inflight_bytes == 0
+        assert thread.server.frontend.inflight_bytes == 0
 
     def test_drain_right_after_client_close_keeps_bookkeeping(
         self, caplog, monkeypatch
@@ -521,7 +521,7 @@ class TestDrainAndCheckpoint:
             for entry in session.registry.snapshot()["gauges"]
         }
         assert gauges["repro_serve_connections_active"] == 0
-        assert not thread.server._handlers
+        assert not thread.server.frontend.sessions
         assert "CancelledError" not in caplog.text
 
     def test_corrupt_latest_checkpoint_falls_back(self, tmp_path):
