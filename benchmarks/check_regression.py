@@ -1,7 +1,10 @@
 """Fail if batch throughput regressed against BENCH_throughput.json.
 
-A quick sweep of the count-based detectors' batch path, compared with
-the committed numbers.  Run after a perf-sensitive change:
+A sweep of the detectors' batch path, compared with the committed
+numbers.  Each detector is timed as ``record.py`` times it — the same
+stream length, and the best of the same number of trials — so a run on
+the recording host compares like with like.  Run after a
+perf-sensitive change:
 
     PYTHONPATH=src python benchmarks/check_regression.py
 
@@ -40,7 +43,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from test_batch_throughput import WINDOW, compare_paths  # noqa: E402
+from test_batch_throughput import best_of_trials  # noqa: E402
 
 #: Detectors whose numbers are stable enough to gate on: the count-based
 #: workhorses and the two sliced filters (one run per generation or
@@ -156,7 +159,7 @@ def main() -> int:
     detectors = committed["detectors"]
     failures = []
     for name in REPORTED:
-        _scalar, batch = compare_paths(name, timed=WINDOW)
+        _scalar, batch = best_of_trials(name)
         measured = batch.elements_per_second
         recorded = detectors[name]["batch_clicks_per_sec"]
         ratio = measured / recorded if recorded else float("inf")

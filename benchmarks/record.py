@@ -33,8 +33,10 @@ from test_batch_throughput import (  # noqa: E402
     NAMES,
     NUM_HASHES,
     SUBWINDOWS,
+    TIMED,
+    TRIALS,
     WINDOW,
-    compare_paths,
+    best_of_trials,
 )
 from test_cluster_throughput import (  # noqa: E402
     NODE_COUNTS,
@@ -101,7 +103,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--trials",
         type=int,
-        default=3,
+        default=TRIALS,
         help="detector timing trials; the best per path is recorded "
         "(suppresses scheduler noise, standard for throughput numbers)",
     )
@@ -121,17 +123,11 @@ def main(argv=None) -> int:
                 f"emits schema {SCHEMA_VERSION}; pass --force to overwrite"
             )
 
-    timed = WINDOW if args.quick else 4 * WINDOW
+    timed = WINDOW if args.quick else TIMED
     trials = 1 if args.quick else max(1, args.trials)
     detectors = {}
     for name in NAMES:
-        scalar_result, batch_result = compare_paths(name, timed=timed)
-        for _ in range(trials - 1):
-            scalar_again, batch_again = compare_paths(name, timed=timed)
-            if scalar_again.seconds < scalar_result.seconds:
-                scalar_result = scalar_again
-            if batch_again.seconds < batch_result.seconds:
-                batch_result = batch_again
+        scalar_result, batch_result = best_of_trials(name, trials, timed)
         detectors[name] = {
             "scalar_clicks_per_sec": round(scalar_result.elements_per_second, 1),
             "batch_clicks_per_sec": round(batch_result.elements_per_second, 1),

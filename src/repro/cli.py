@@ -56,6 +56,7 @@ from .detection import (
     create_detector,
     default_rules,
 )
+from .errors import ConfigurationError
 from .metrics import render_table
 from .streams import load_clicks, read_batches, write_clicks_csv, write_clicks_jsonl
 from .telemetry import TelemetrySession, render_dashboard
@@ -125,33 +126,46 @@ def _build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--trace-out", default=None, metavar="PATH",
                          help="write Chrome-trace JSON of pipeline spans")
 
+    # Serve flags take their defaults from ServeConfig, the one source.
+    from .serve.server import ServeConfig
+
+    serve_defaults = ServeConfig()
     serve = commands.add_parser(
         "serve", help="run the network click-ingest server")
     _add_detector_args(serve, with_input=False)
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
+    serve.add_argument("--host", default=serve_defaults.host)
+    serve.add_argument("--port", type=int, default=serve_defaults.port,
                        help="TCP port (default 0 = ephemeral, printed at boot)")
     serve.add_argument("--workers", type=int, default=1,
                        help="shard the detector across this many worker "
                        "processes (requires --algorithm tbf; default 1 = "
                        "in-process)")
-    serve.add_argument("--max-batch", type=int, default=8192,
-                       help="coalescer target clicks per engine batch")
-    serve.add_argument("--max-delay-ms", type=float, default=5.0,
-                       help="max milliseconds a request waits for coalescing")
-    serve.add_argument("--max-inflight-mib", type=float, default=32.0,
+    serve.add_argument("--max-batch", type=int, default=serve_defaults.max_batch,
+                       help="most clicks per engine batch (default "
+                       f"{serve_defaults.max_batch})")
+    serve.add_argument("--max-delay-ms", type=float,
+                       default=serve_defaults.max_delay * 1000.0,
+                       help="max milliseconds a short batch waits for "
+                       "batch-mates (default "
+                       f"{serve_defaults.max_delay * 1000.0:g} = none: a batch "
+                       "is what has queued when the engine is free)")
+    serve.add_argument("--max-inflight-mib", type=float,
+                       default=serve_defaults.max_inflight_bytes / (1 << 20),
                        help="global admission-control budget in MiB")
-    serve.add_argument("--skew-tolerance", type=float, default=1.0,
+    serve.add_argument("--skew-tolerance", type=float,
+                       default=serve_defaults.skew_tolerance,
                        help="time-based detectors: seconds a batch may lag "
                        "the stream watermark before it is refused (smaller "
-                       "lags are clamped; default 1.0)")
+                       "lags are clamped; default "
+                       f"{serve_defaults.skew_tolerance:g})")
     serve.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                        help="drain checkpoints + resume-on-start directory")
     serve.add_argument("--trace-dir", default=None, metavar="DIR",
                        help="append span shards here for sampled "
                        "(FLAG_TRACE) requests; merge with `repro trace "
                        "--merge-only --trace-dir DIR`")
-    serve.add_argument("--adaptive-interval", type=int, default=0,
+    serve.add_argument("--adaptive-interval", type=int,
+                       default=serve_defaults.adaptive_interval,
                        metavar="GROUPS",
                        help="resize controller: sample the live FP estimate "
                        "every GROUPS coalesced batches and grow/shrink the "
@@ -278,11 +292,23 @@ def _add_detector_args(
         parser.add_argument("input", help="stream file from `repro generate`")
     parser.add_argument("--algorithm", default="tbf",
                         choices=["tbf", "gbf", "tbf-jumping", "apbf", "exact",
-                                 "metwally-cbf", "stable-bloom"])
+                                 "metwally-cbf", "stable-bloom", "tbf-time",
+                                 "gbf-time", "time-limited-bf"])
     parser.add_argument("--window", type=int, default=8192,
-                        help="window size in clicks (default 8192)")
+                        help="window size in clicks (default 8192); for the "
+                        "time-based algorithms, the clicks expected per "
+                        "--duration, which sizes the sketch")
     parser.add_argument("--subwindows", type=int, default=8,
                         help="Q for jumping-window algorithms")
+    parser.add_argument("--duration", type=float, default=None,
+                        help="window length in seconds of click timestamps "
+                        "(required by, and only for, tbf-time, gbf-time and "
+                        "time-limited-bf)")
+    parser.add_argument("--resolution", type=int,
+                        default=DetectorSpec.resolution,
+                        help="time-based algorithms: time units per window "
+                        "(tbf-time, time-limited-bf) or cleaning units per "
+                        f"sub-window (gbf-time; default {DetectorSpec.resolution})")
     parser.add_argument("--target-fp", type=float, default=None)
     parser.add_argument("--memory-kib", type=float, default=None,
                         help="memory budget in KiB (alternative to --target-fp)")
@@ -291,7 +317,11 @@ def _add_detector_args(
 
 def _spec_from_args(args: argparse.Namespace, shards: int = 1) -> DetectorSpec:
     """The :class:`DetectorSpec` the sizing flags describe."""
-    kind = "jumping" if args.algorithm in ("gbf", "tbf-jumping", "metwally-cbf") else "sliding"
+    kind = (
+        "jumping"
+        if args.algorithm in ("gbf", "gbf-time", "tbf-jumping", "metwally-cbf")
+        else "sliding"
+    )
     subwindows = args.subwindows if kind == "jumping" else 1
     window = args.window - args.window % subwindows if subwindows > 1 else args.window
     sizing = {}
@@ -300,13 +330,21 @@ def _spec_from_args(args: argparse.Namespace, shards: int = 1) -> DetectorSpec:
             sizing["memory_bits"] = int(args.memory_kib * 8 * 1024)
         else:
             sizing["target_fp"] = args.target_fp if args.target_fp else 0.001
-    return DetectorSpec(
-        algorithm=args.algorithm,
-        window=WindowSpec(kind, window, subwindows),
-        seed=args.seed,
-        shards=shards,
-        **sizing,
-    )
+    try:
+        return DetectorSpec(
+            algorithm=args.algorithm,
+            window=WindowSpec(kind, window, subwindows),
+            seed=args.seed,
+            shards=shards,
+            duration=args.duration,
+            resolution=args.resolution,
+            **sizing,
+        )
+    except ConfigurationError as error:
+        # A flag combination the spec refuses (a time-based algorithm
+        # without --duration, or --duration on a count-based one).
+        print(f"error: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _command_generate(args: argparse.Namespace) -> int:
@@ -623,29 +661,16 @@ def _command_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_serve(args: argparse.Namespace) -> int:
-    """``repro serve``: the network ingest server, drained on SIGTERM."""
-    import asyncio
-    import signal
+def _serve_config(args: argparse.Namespace):
+    """The :class:`~repro.serve.ServeConfig` the ``serve`` flags describe."""
+    from .serve import ServeConfig
 
-    from .resilience import DeadLetterSink
-    from .serve import ClickIngestServer, ServeConfig
-
-    if args.workers > 1 and args.algorithm != "tbf":
-        print(f"error: --workers requires --algorithm tbf "
-              f"(got {args.algorithm!r})", file=sys.stderr)
-        return 2
-    if args.adaptive_interval > 0 and args.workers > 1:
-        print("error: --adaptive-interval needs the inline engine "
-              "(drop --workers)", file=sys.stderr)
-        return 2
     adaptive_config = None
     if args.adaptive_interval > 0 and args.adaptive_target_fp is not None:
         from .adaptive import ControllerConfig
 
         adaptive_config = ControllerConfig(target_fp=args.adaptive_target_fp)
-    spec = _spec_from_args(args, shards=max(1, args.workers))
-    config = ServeConfig(
+    return ServeConfig(
         host=args.host,
         port=args.port,
         max_batch=max(1, args.max_batch),
@@ -659,6 +684,26 @@ def _command_serve(args: argparse.Namespace) -> int:
         adaptive_interval=max(0, args.adaptive_interval),
         adaptive=adaptive_config,
     )
+
+
+def _command_serve(args: argparse.Namespace) -> int:
+    """``repro serve``: the network ingest server, drained on SIGTERM."""
+    import asyncio
+    import signal
+
+    from .resilience import DeadLetterSink
+    from .serve import ClickIngestServer
+
+    if args.workers > 1 and args.algorithm != "tbf":
+        print(f"error: --workers requires --algorithm tbf "
+              f"(got {args.algorithm!r})", file=sys.stderr)
+        return 2
+    if args.adaptive_interval > 0 and args.workers > 1:
+        print("error: --adaptive-interval needs the inline engine "
+              "(drop --workers)", file=sys.stderr)
+        return 2
+    spec = _spec_from_args(args, shards=max(1, args.workers))
+    config = _serve_config(args)
     session = TelemetrySession()
     dead_letters = DeadLetterSink()
 

@@ -1,19 +1,26 @@
-"""Time/size-bounded request coalescing for the ingest server.
+"""Backlog-driven request coalescing for the ingest server.
 
 Many small client batches amortize poorly: the vectorized detectors
 want thousands of identifiers per call, but a latency-sensitive client
 may ship a few hundred at a time.  The :class:`Coalescer` sits between
 the connection readers and the detection engine and groups pending
-requests into engine batches under two bounds:
+requests into engine batches.  A group is emitted on one of three
+events:
 
 * **size** — as soon as the pending clicks reach ``max_batch``, the
   group is emitted (an engine batch therefore holds at most
   ``max_batch`` clicks, except when a *single* request alone exceeds it;
   requests are never split, because each maps to exactly one verdict
   frame).
-* **time** — the oldest pending request waits at most ``max_delay``
-  seconds; when the deadline passes, whatever is pending is emitted
-  short.
+* **idle** — the engine has taken everything that was queued and found
+  nothing more (:meth:`idle`).  With the default ``max_delay=0`` the
+  group goes at once, so a group is whatever queued while the engine
+  was busy: a lone request at low load waits for nothing, and under
+  load frames pile up during each detector call, so groups grow with
+  the backlog ("smart batching").
+* **deadline** — with an opt-in ``max_delay > 0``, a short group is
+  instead held for batch-mates until its oldest request has waited
+  ``max_delay`` seconds (:meth:`poll`), then emitted short.
 
 Flush semantics deliberately mirror the batch-shape contract of
 :func:`repro.streams.io.read_batches`: emitted groups are never empty,
@@ -42,7 +49,7 @@ class Coalescer:
     def __init__(
         self,
         max_batch: int = 8192,
-        max_delay: float = 0.005,
+        max_delay: float = 0.0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if max_batch < 1:
@@ -119,6 +126,18 @@ class Coalescer:
         """Emit the pending group iff its deadline has passed."""
         deadline = self.deadline
         if deadline is not None and self._clock() >= deadline:
+            return self.flush()
+        return None
+
+    def idle(self) -> Optional[List[Any]]:
+        """The consumer found nothing more queued: emit or keep waiting.
+
+        With ``max_delay == 0`` nothing is worth waiting for, so the
+        pending group is emitted at once.  With ``max_delay > 0`` it is
+        held for batch-mates (``None``); :meth:`poll` emits it at its
+        deadline.
+        """
+        if self.max_delay == 0:
             return self.flush()
         return None
 

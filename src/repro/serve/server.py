@@ -21,8 +21,9 @@ Architecture (one process, one event loop)::
   would exceed either is refused with an explicit ``OVERLOADED``
   response — never buffered unboundedly.
 * **The engine task** is the single consumer: it runs the
-  :class:`~repro.serve.coalescer.Coalescer` (size/time-bounded
-  grouping), classifies each group with one
+  :class:`~repro.serve.coalescer.Coalescer` (a group is what has
+  queued when the engine is free, up to ``max_batch`` clicks, or an
+  opt-in ``max_delay`` wait), classifies each group with one
   :meth:`~repro.detection.pipeline.DetectionPipeline.run_identified_batch`
   call, and resolves each request's response future.  One consumer
   means detector state advances in a single total order — the same
@@ -93,6 +94,12 @@ _CHECKPOINT_KIND = "serve"
 
 _BATCH_BUCKETS = (1.0, 64.0, 256.0, 1024.0, 4096.0, 8192.0, 16384.0, 65536.0)
 
+#: Event-loop passes the engine yields before it emits a short group: one
+#: for the selector to hand a reader the bytes that came in, one to fall
+#: in behind the reader that this wakes, and one for that reader to
+#: decode and enqueue its frames (see ``_engine_loop_inner``).
+_READER_PASSES = 3
+
 
 async def _cancel(task: asyncio.Task) -> None:
     """Cancel ``task`` and wait for it to end, whatever it ends with."""
@@ -110,10 +117,13 @@ class ServeConfig:
     host: str = "127.0.0.1"
     #: ``0`` binds an ephemeral port; read it back from ``server.port``.
     port: int = 0
-    #: Coalescer bounds: target engine-batch clicks and the max seconds
-    #: the oldest pending request may wait.
+    #: Coalescer bounds: the most clicks the engine takes into one group,
+    #: and how long (seconds) a short group may wait for batch-mates.
+    #: ``max_delay=0`` waits for none: a group is what has queued when
+    #: the engine is free.  A positive value holds the oldest pending
+    #: request up to that long.
     max_batch: int = 8192
-    max_delay: float = 0.005
+    max_delay: float = 0.0
     #: ``N`` lifts the detector into the multi-process engine
     #: (:func:`repro.parallel.lift_sharded`); requires a sharded
     #: detector with ``N`` shards.  ``None`` stays in-process.
@@ -1016,39 +1026,58 @@ class ClickIngestServer(Backend):
         self._engine_task = asyncio.create_task(self._engine_loop())
 
     async def _engine_loop_inner(self) -> None:
+        """Form each group from the backlog and run it.
+
+        The engine takes every request already queued (up to the
+        coalescer's ``max_batch``) and, once the queue is empty, asks
+        the coalescer whether the pending group goes now (``idle``, the
+        default) or waits for batch-mates until its deadline (an opt-in
+        ``max_delay > 0``).  Under load, frames pile up in the queue
+        while a group computes, so groups grow with the backlog; at low
+        load a lone frame runs at once.
+        """
         queue = self._queue
         coalescer = self._coalescer
         while True:
-            deadline = coalescer.deadline
-            if deadline is None:
+            if not queue.empty():
+                request = queue.get_nowait()
+            elif not coalescer.pending_items:
                 request = await queue.get()
             else:
-                timeout = max(0.0, deadline - time.monotonic())
+                # The queue is empty, but frames that reached a socket
+                # while the detector ran are not decoded yet: a reader
+                # the selector wakes runs behind this task.  Let the
+                # readers run before emitting a short group, or a busy
+                # engine would split one backlog into two groups.
+                for _ in range(_READER_PASSES):
+                    await asyncio.sleep(0)
+                if not queue.empty():
+                    continue
+                group = coalescer.idle()
+                if group is not None:
+                    await self._run_flushed(group, "idle")
+                    continue
+                timeout = max(0.0, coalescer.deadline - time.monotonic())
                 try:
                     request = await asyncio.wait_for(queue.get(), timeout)
                 except asyncio.TimeoutError:
-                    group = coalescer.flush()
-                    if group:
-                        self.flight.record(
-                            "flush", reason="deadline", requests=len(group)
-                        )
-                        await self._run_group(group)
+                    await self._run_flushed(coalescer.flush(), "deadline")
                     continue
             if request is None:
-                group = coalescer.flush()
-                if group:
-                    self.flight.record(
-                        "flush", reason="drain", requests=len(group)
-                    )
-                    await self._run_group(group)
+                await self._run_flushed(coalescer.flush(), "drain")
                 return
             request.coalesced_at = time.monotonic()
             group = coalescer.add(request, request.count)
             if group is not None:
-                self.flight.record(
-                    "flush", reason="size", requests=len(group)
-                )
-                await self._run_group(group)
+                await self._run_flushed(group, "size")
+
+    async def _run_flushed(
+        self, group: Optional[List[_Request]], reason: str
+    ) -> None:
+        """Record why the coalescer emitted ``group``, then run it."""
+        if group:
+            self.flight.record("flush", reason=reason, requests=len(group))
+            await self._run_group(group)
 
     async def _run_group(self, group: List[_Request]) -> None:
         """One group through the fault hooks and the detector.

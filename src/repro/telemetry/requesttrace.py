@@ -57,10 +57,10 @@ __all__ = [
 #: Stages of a BATCH frame's life inside the ingest server, in order.
 #: ``decode`` — wire bytes to identifier/timestamp views; ``engine_queue``
 #: — admitted, waiting for the engine task to pick the request up;
-#: ``coalesce_wait`` — held by the coalescer for batch-mates or the
-#: deadline; ``detector_compute`` — the detection pipeline call for the
-#: request's group; ``response_write`` — verdict frame serialization and
-#: socket write-out.
+#: ``coalesce_wait`` — held by the coalescer while its group forms (the
+#: readers' passes, or an opt-in ``max_delay``); ``detector_compute`` —
+#: the detection pipeline call for the request's group;
+#: ``response_write`` — verdict frame serialization and socket write-out.
 SERVE_STAGES = (
     "decode",
     "engine_queue",

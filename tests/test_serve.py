@@ -82,6 +82,30 @@ class TestCoalescer:
         assert c.poll() == ["a"]
         assert c.deadline is None         # empty again: no timeout needed
 
+    def test_idle_emits_at_once_by_default(self):
+        # max_delay=0: nothing is worth waiting for, so an idle engine
+        # takes the pending group as soon as the queue runs dry.
+        c = Coalescer(max_batch=1000, clock=lambda: 0.0)
+        assert c.max_delay == 0
+        assert c.idle() is None           # nothing pending
+        assert c.add("a", 1) is None
+        assert c.add("b", 2) is None
+        assert c.idle() == ["a", "b"]
+        assert c.pending_items == 0 and c.deadline is None
+
+    def test_idle_holds_for_the_deadline_with_max_delay(self):
+        # An opt-in max_delay keeps its meaning: an idle engine still
+        # holds a lone request until the request's deadline.
+        now = [0.0]
+        c = Coalescer(max_batch=1000, max_delay=0.5, clock=lambda: now[0])
+        assert c.add("a", 1) is None
+        assert c.idle() is None
+        now[0] = 0.49
+        assert c.idle() is None and c.poll() is None
+        now[0] = 0.5
+        assert c.idle() is None           # the deadline, not idleness,
+        assert c.poll() == ["a"]          # emits an opt-in wait
+
     def test_flush_matches_read_batches_contract(self):
         # Leftovers come out exactly as accumulated — never empty,
         # never padded — and an empty coalescer flushes nothing.
@@ -178,6 +202,100 @@ class TestBinaryProtocolServing:
         finally:
             thread.stop()
         assert thread.server.processed_clicks == 5_000
+
+
+class _BusyEngine:
+    """Fault hook: the first group holds the event loop for ``seconds``,
+    as a long detector call does."""
+
+    def __init__(self, seconds: float) -> None:
+        self.seconds = seconds
+        self.groups = 0
+
+    async def before_group(self, group) -> None:
+        self.groups += 1
+        if self.groups == 1:
+            time.sleep(self.seconds)
+
+
+class TestSmartBatching:
+    """With the default ``max_delay=0`` a group is what has queued when
+    the engine is free; flight events show how each group was formed."""
+
+    FRAME = 64
+
+    @staticmethod
+    def _events(server, kind, field):
+        return [
+            fields[field]
+            for _seq, _ts, event_kind, fields in server.flight.events()
+            if event_kind == kind
+        ]
+
+    def _frames(self, first, count):
+        return b"".join(
+            encode_batch(
+                first + i,
+                np.arange(self.FRAME, dtype=np.uint64) + (first + i) * self.FRAME,
+            )
+            for i in range(count)
+        )
+
+    @staticmethod
+    def _read_verdicts(sock, count):
+        for _ in range(count):
+            frame_type, _request_id, length = decode_header(
+                _recv_exactly(sock, HEADER.size), expect_response=True
+            )
+            _recv_exactly(sock, length)
+            assert frame_type == FRAME_VERDICTS
+
+    def test_lone_frame_runs_at_once(self):
+        with ServerThread(create_detector(TBF_SPEC)) as thread:
+            with ServeClient("127.0.0.1", thread.port) as client:
+                assert client.send(np.arange(256, dtype=np.uint64)).shape == (256,)
+        server = thread.server
+        assert self._events(server, "flush", "reason") == ["idle"]
+        assert self._events(server, "group_start", "clicks") == [256]
+
+    def test_one_burst_is_one_group(self):
+        # Every frame of one write is decoded before the engine looks at
+        # its queue again, so the group is the whole burst.
+        with ServerThread(create_detector(TBF_SPEC)) as thread:
+            sock = socket.create_connection(("127.0.0.1", thread.port), timeout=10)
+            try:
+                sock.sendall(MAGIC + self._frames(1, 8))
+                self._read_verdicts(sock, 8)
+            finally:
+                sock.close()
+        server = thread.server
+        assert self._events(server, "group_start", "clicks") == [8 * self.FRAME]
+        assert self._events(server, "flush", "reason") == ["idle"]
+
+    def test_backlog_of_a_busy_engine_is_one_group(self):
+        # Frames 1-3 fill a group by size; frame 4 stays queued.  While
+        # that group holds the loop, frame 5 reaches the socket.  Frames
+        # 4 and 5 are one backlog: the engine lets the reader decode
+        # frame 5 before it emits frame 4 short.
+        config = ServeConfig(max_batch=3 * self.FRAME)
+        hooks = _BusyEngine(0.3)
+        with ServerThread(
+            create_detector(TBF_SPEC), config, fault_hooks=hooks
+        ) as thread:
+            sock = socket.create_connection(("127.0.0.1", thread.port), timeout=10)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            try:
+                sock.sendall(MAGIC + self._frames(1, 4))
+                time.sleep(0.1)          # the first group holds the loop
+                sock.sendall(self._frames(5, 1))
+                self._read_verdicts(sock, 5)
+            finally:
+                sock.close()
+        server = thread.server
+        assert self._events(server, "group_start", "clicks") == [
+            3 * self.FRAME, 2 * self.FRAME,
+        ]
+        assert self._events(server, "flush", "reason") == ["size", "idle"]
 
 
 class TestJsonlServing:
