@@ -62,8 +62,11 @@ def _session_for(mode: str):
         return TelemetrySession.disabled()
     # One snapshot per window: instruments collect (and fill gauges
     # recompute) a few times inside the timed region, as they would in
-    # a real `repro monitor` run.
-    return TelemetrySession(snapshot_every=WINDOW)
+    # a real `repro monitor` run.  Collection is pull-based, so the
+    # cadence needs a subscriber, as `repro monitor` has one.
+    session = TelemetrySession(snapshot_every=WINDOW)
+    session.on_snapshot(lambda snapshot: None)
+    return session
 
 
 def time_mode(name: str, mode: str, identifiers, warmup) -> float:

@@ -227,6 +227,17 @@ class AdaptiveController:
             return None
         return snapshot_fn().get("gauges", {}).get("estimated_fp_rate")
 
+    def _elements(self) -> int:
+        """Clicks the detector has processed, read off its operation
+        counter; only a detector without one (a sharded fleet) pays for
+        a full telemetry snapshot."""
+        counter = getattr(self.detector, "counter", None)
+        if counter is not None:
+            return counter.elements
+        return self.detector.telemetry_snapshot().get("counters", {}).get(
+            "elements", 0
+        )
+
     # -- the control loop --------------------------------------------
 
     def observe(self) -> Optional[ResizeEvent]:
@@ -238,11 +249,7 @@ class AdaptiveController:
         metrics = self._metrics
         if metrics is not None:
             metrics["memory_bits"].set(self.detector.memory_bits)
-            elements = (
-                self.detector.telemetry_snapshot()
-                .get("counters", {})
-                .get("elements", 0)
-            )
+            elements = self._elements()
             if elements:
                 metrics["bits_per_click"].set(
                     self.detector.memory_bits / elements

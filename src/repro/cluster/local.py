@@ -496,9 +496,21 @@ class LocalCluster:
     # -- telemetry ------------------------------------------------------
 
     def scrape(self) -> dict:
-        """One merged snapshot: router registry + every node registry."""
+        """One merged snapshot: router registry + every node registry.
+
+        Each registry is read once, which collects every node's
+        instruments on that node's loop; a shared session is one
+        registry, so its snapshot serves router and nodes alike.
+        """
+        snapshots: Dict[int, dict] = {}
+
+        def snapshot(registry) -> dict:
+            if id(registry) not in snapshots:
+                snapshots[id(registry)] = registry.snapshot()
+            return snapshots[id(registry)]
+
         router_snapshot = (
-            self.router.router.telemetry.registry.snapshot()
+            snapshot(self.router.router.telemetry.registry)
             if self.router is not None and self.router.router is not None
             else {}
         )
@@ -509,7 +521,7 @@ class LocalCluster:
             nodes[f"node-{index}"] = {
                 "port": self._ports.get(index),
                 "processed_clicks": thread.server.processed_clicks,
-                "metrics": thread.server.telemetry.registry.snapshot(),
+                "metrics": snapshot(thread.server.telemetry.registry),
             }
         return {"router": router_snapshot, "nodes": nodes}
 

@@ -29,6 +29,7 @@ import numpy as np
 __all__ = [
     "repeat_arange",
     "wrapped_ages",
+    "window_counts",
     "row_all",
     "row_and",
     "row_any",
@@ -66,6 +67,29 @@ def wrapped_ages(now: int, values: "np.ndarray", period: int) -> "np.ndarray":
     ages = np.int64(now) - values
     np.add(ages, np.int64(period), out=ages, where=ages < 0)
     return ages
+
+
+def window_counts(
+    entries: "np.ndarray", now: int, span: int, period: int, empty: int
+) -> Tuple[int, int]:
+    """``(active, occupied)`` entries of a wrapped-timestamp table.
+
+    An entry ``v`` is occupied when ``v != empty`` and active when its
+    age ``(now - v) % period`` is below ``span``: ``now - span < v <=
+    now``, or, when ``now - span`` wraps below 0, ``v <= now`` plus
+    ``now - span + period < v < period``.  Timestamps lie in ``[0,
+    period)`` and ``empty >= period``, so both are range counts on the
+    native unsigned array, with no int64 copy and no modulo.
+    """
+    now = int(now)
+    occupied = int(np.count_nonzero(entries != empty))
+    active = int(np.count_nonzero(entries <= now))
+    low = now - span
+    if low >= 0:
+        active -= int(np.count_nonzero(entries <= low))
+    else:
+        active += occupied - int(np.count_nonzero(entries <= low + period))
+    return active, occupied
 
 
 def row_all(matrix: "np.ndarray") -> "np.ndarray":

@@ -37,7 +37,7 @@ cleaning cost at the paper's default ``C = N - 1``).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -383,23 +383,26 @@ class TBFDetector(CountBasedDetector):
         """Modeled footprint ``m * entry_bits`` (Theorem 2's ``M``)."""
         return self.num_entries * self.entry_bits
 
+    def _window_counts(self) -> Tuple[int, int]:
+        """``(active, occupied)`` entries at the current position."""
+        if self._position < 0:
+            return 0, 0
+        return kernels.window_counts(
+            self._entries,
+            self._position % self.timestamp_period,
+            self.window_size,
+            self.timestamp_period,
+            self.empty_value,
+        )
+
     def active_entries(self) -> int:
         """Number of entries currently holding an active timestamp."""
-        if self._position < 0:
-            return 0
-        now = self._position % self.timestamp_period
-        values = self._entries.astype(np.int64)
-        ages = (now - values) % self.timestamp_period
-        return int(((values != self.empty_value) & (ages < self.window_size)).sum())
+        return self._window_counts()[0]
 
     def stale_entries(self) -> int:
         """Entries holding an expired timestamp not yet swept (diagnostic)."""
-        if self._position < 0:
-            return 0
-        now = self._position % self.timestamp_period
-        values = self._entries.astype(np.int64)
-        ages = (now - values) % self.timestamp_period
-        return int(((values != self.empty_value) & (ages >= self.window_size)).sum())
+        active, occupied = self._window_counts()
+        return occupied - active
 
     @property
     def observed_duplicate_rate(self) -> float:
@@ -451,17 +454,10 @@ class TBFDetector(CountBasedDetector):
     def telemetry_snapshot(self) -> dict:
         """Health metrics for :mod:`repro.telemetry.instruments`."""
         counter = self.counter
-        # One sweep of the entry array feeds active count, stale count,
+        # One count of the entry array feeds active count, stale count,
         # fill, and the FP estimate (same floats as estimated_fp_rate()).
-        if self._position < 0:
-            active = stale = 0
-        else:
-            now = self._position % self.timestamp_period
-            values = self._entries.astype(np.int64)
-            occupied = values != self.empty_value
-            in_window = (now - values) % self.timestamp_period < self.window_size
-            active = int((occupied & in_window).sum())
-            stale = int((occupied & ~in_window).sum())
+        active, occupied = self._window_counts()
+        stale = occupied - active
         fill = active / self.num_entries
         return {
             "gauges": {

@@ -15,7 +15,7 @@ Timestamps are measured in sub-window units, so entries need only
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -293,27 +293,26 @@ class TBFJumpingDetector(CountBasedDetector):
     def memory_bits(self) -> int:
         return self.num_entries * self.entry_bits
 
+    def _window_counts(self) -> Tuple[int, int]:
+        """``(active, occupied)`` entries at the current sub-window."""
+        if self._position < 0:
+            return 0, 0
+        return kernels.window_counts(
+            self._entries,
+            (self._position // self.subwindow_size) % self.timestamp_period,
+            self.num_subwindows,
+            self.timestamp_period,
+            self.empty_value,
+        )
+
     def active_entries(self) -> int:
         """Number of entries currently holding an active timestamp."""
-        if self._position < 0:
-            return 0
-        now = (self._position // self.subwindow_size) % self.timestamp_period
-        values = self._entries.astype(np.int64)
-        ages = (now - values) % self.timestamp_period
-        return int(
-            ((values != self.empty_value) & (ages < self.num_subwindows)).sum()
-        )
+        return self._window_counts()[0]
 
     def stale_entries(self) -> int:
         """Entries holding an expired timestamp not yet swept (diagnostic)."""
-        if self._position < 0:
-            return 0
-        now = (self._position // self.subwindow_size) % self.timestamp_period
-        values = self._entries.astype(np.int64)
-        ages = (now - values) % self.timestamp_period
-        return int(
-            ((values != self.empty_value) & (ages >= self.num_subwindows)).sum()
-        )
+        active, occupied = self._window_counts()
+        return occupied - active
 
     @property
     def observed_duplicate_rate(self) -> float:
@@ -361,19 +360,10 @@ class TBFJumpingDetector(CountBasedDetector):
     def telemetry_snapshot(self) -> dict:
         """Health metrics for :mod:`repro.telemetry.instruments`."""
         counter = self.counter
-        # One sweep of the entry array feeds active count, stale count,
+        # One count of the entry array feeds active count, stale count,
         # fill, and the FP estimate (same floats as estimated_fp_rate()).
-        if self._position < 0:
-            active = stale = 0
-        else:
-            now = (self._position // self.subwindow_size) % self.timestamp_period
-            values = self._entries.astype(np.int64)
-            occupied = values != self.empty_value
-            in_window = (
-                (now - values) % self.timestamp_period < self.num_subwindows
-            )
-            active = int((occupied & in_window).sum())
-            stale = int((occupied & ~in_window).sum())
+        active, occupied = self._window_counts()
+        stale = occupied - active
         fill = active / self.num_entries
         return {
             "gauges": {

@@ -18,7 +18,7 @@ the tick-by-tick replay.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -412,23 +412,26 @@ class TimeBasedTBFDetector(TimeBasedDetector):
     def memory_bits(self) -> int:
         return self.num_entries * self.entry_bits
 
+    def _window_counts(self) -> Tuple[int, int]:
+        """``(active, occupied)`` entries at the last seen time unit."""
+        if self._last_unit is None:
+            return 0, 0
+        return kernels.window_counts(
+            self._entries,
+            self._last_unit % self.timestamp_period,
+            self.resolution,
+            self.timestamp_period,
+            self.empty_value,
+        )
+
     def active_entries(self) -> int:
         """Number of entries currently holding an active timestamp."""
-        if self._last_unit is None:
-            return 0
-        now = self._last_unit % self.timestamp_period
-        values = self._entries.astype(np.int64)
-        ages = (now - values) % self.timestamp_period
-        return int(((values != self.empty_value) & (ages < self.resolution)).sum())
+        return self._window_counts()[0]
 
     def stale_entries(self) -> int:
         """Entries holding an expired timestamp not yet swept (diagnostic)."""
-        if self._last_unit is None:
-            return 0
-        now = self._last_unit % self.timestamp_period
-        values = self._entries.astype(np.int64)
-        ages = (now - values) % self.timestamp_period
-        return int(((values != self.empty_value) & (ages >= self.resolution)).sum())
+        active, occupied = self._window_counts()
+        return occupied - active
 
     @property
     def observed_duplicate_rate(self) -> float:
@@ -481,17 +484,10 @@ class TimeBasedTBFDetector(TimeBasedDetector):
     def telemetry_snapshot(self) -> dict:
         """Health metrics for :mod:`repro.telemetry.instruments`."""
         counter = self.counter
-        # One sweep of the entry array feeds active count, stale count,
+        # One count of the entry array feeds active count, stale count,
         # fill, and the FP estimate (same floats as estimated_fp_rate()).
-        if self._last_unit is None:
-            active = stale = 0
-        else:
-            now = self._last_unit % self.timestamp_period
-            values = self._entries.astype(np.int64)
-            occupied = values != self.empty_value
-            in_window = (now - values) % self.timestamp_period < self.resolution
-            active = int((occupied & in_window).sum())
-            stale = int((occupied & ~in_window).sum())
+        active, occupied = self._window_counts()
+        stale = occupied - active
         fill = active / self.num_entries
         return {
             "gauges": {

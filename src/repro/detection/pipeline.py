@@ -87,6 +87,9 @@ class DetectionPipeline:
             "repro_pipeline_budget_exhausted_total",
             "Clicks dropped because an advertiser budget was exhausted",
         )
+        #: This pipeline's :class:`~repro.telemetry.DetectorInstrument`
+        #: (``None`` with telemetry disabled).
+        self.instrument = None
         self.set_detector(detector)
 
     def set_detector(self, detector) -> None:
@@ -102,8 +105,11 @@ class DetectionPipeline:
             # Re-instrument so gauges track the detector now in service;
             # registry counters keep their running totals (the new
             # instrument baselines at the detector's current counters).
-            self.telemetry.drop_instruments()
-            self.telemetry.instrument_detector(detector)
+            # Only this pipeline's instrument goes: pipelines sharing
+            # the session (cluster nodes) keep theirs.
+            if self.instrument is not None:
+                self.telemetry.remove_instrument(self.instrument)
+            self.instrument = self.telemetry.instrument_detector(detector)
 
     def _record_totals(
         self, processed: int, duplicates: int, valid: int, budget_exhausted: int

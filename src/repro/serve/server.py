@@ -501,14 +501,13 @@ class ClickIngestServer(Backend):
         )
         # Per-request latency decomposition (docs/observability.md §2):
         # labelled stage histograms plus exact streaming p50/p95/p99
-        # gauges, refreshed on the session's snapshot cadence.  Appended
-        # after the pipeline is built — DetectionPipeline resets the
-        # session's instrument list when it takes the detector.
+        # gauges, computed when the registry is read.  Like the
+        # pipeline's detector instrument, it is collected on this loop.
         self._stages = (
             StageLatencyRecorder(registry) if self.telemetry.enabled else None
         )
         if self._stages is not None:
-            self.telemetry.instruments.append(self._stages)
+            self.telemetry.add_instrument(self._stages)
         #: Always-on crash flight recorder: a bounded in-memory ring of
         #: recent structured events, dumped to JSONL on engine death,
         #: watchdog restart, wedged drain, and graceful drain.
@@ -609,6 +608,9 @@ class ClickIngestServer(Backend):
         if self._engine_error is not None:
             self._abort_pending(f"engine failed: {self._engine_error}")
         await self.frontend.wait_closed()
+        # Collect once more while a worker fleet can still answer:
+        # reads after the drain see the final values.
+        self.release_instruments(collect=True)
         if self._engine_owned:
             # Write the workers' final state back into the base
             # detector so the checkpoint reflects every click served.
@@ -619,6 +621,22 @@ class ClickIngestServer(Backend):
         if self._spans is not None:
             self._spans.close()
         self._drained.set()
+
+    def release_instruments(self, collect: bool) -> None:
+        """Stop the session collecting this server's instruments.
+
+        Their series keep their last values.  With ``collect``, they
+        are collected one last time first; call it on the loop then.
+        """
+        for instrument in (self.pipeline.instrument, self._stages):
+            if instrument is None:
+                continue
+            if collect:
+                try:
+                    instrument.collect()
+                except Exception as error:  # a drain must finish
+                    self._dead_letter("telemetry", f"last collect failed: {error}")
+            self.telemetry.remove_instrument(instrument)
 
     def _dump_flight(self, reason: str) -> Optional[Path]:
         """Dump the flight-recorder ring to JSONL; never raises.
@@ -1381,6 +1399,9 @@ class ServerThread(LoopThread):
         """
         if self.server is not None:
             self._halt(self.server.frontend.stop_listening, timeout)
+            # A killed process gets no last collection: its series keep
+            # what the last read saw.
+            self.server.release_instruments(collect=False)
 
     def checkpoint(self, timeout: float = 30.0) -> None:
         """Write a checkpoint now, without draining.

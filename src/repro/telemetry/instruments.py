@@ -18,8 +18,10 @@ detectors add a ``shards`` section of per-shard gauge maps.
 The instrument also monitors the paper's FP envelope: it publishes the
 detector's a-priori bound (:func:`theoretical_fp_bound`, Theorems 1-4
 applied to the configuration) next to the live
-``estimated_fp_rate`` gauge, and counts breaches whenever the live
-estimate exceeds ``bound * margin``.
+``estimated_fp_rate`` gauge, and counts the collections that found
+the live estimate above ``bound * margin``.  A
+:class:`~repro.telemetry.TelemetrySession` collects on every registry
+read, so that counter counts reads that found a breach.
 """
 
 from __future__ import annotations
@@ -141,7 +143,8 @@ class DetectorInstrument:
         ).labels(detector=self.name)
         self._breaches = registry.counter(
             "repro_fp_bound_breaches_total",
-            "Snapshots where the live FP estimate exceeded bound * margin",
+            "Collections (registry reads) where the live FP estimate "
+            "exceeded bound * margin",
             labels=("detector",),
         ).labels(detector=self.name)
         if self.fp_bound is not None:

@@ -23,6 +23,9 @@ Exposition: :meth:`MetricsRegistry.to_prometheus` emits the Prometheus
 text format (``# HELP`` / ``# TYPE`` / samples, histograms as
 cumulative ``_bucket`` series); :meth:`MetricsRegistry.snapshot`
 returns a JSON-able dict for dashboards and the ``repro monitor`` CLI.
+Values derived from live state (fills, FP estimates, quantiles) are
+computed when read: every read first runs the collectors registered
+with :meth:`MetricsRegistry.add_collector`.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 
@@ -320,8 +323,23 @@ class MetricsRegistry:
         self._instances: Dict[str, Any] = {}
         self._pending_state: Dict[str, Any] = {}
         self._lock = threading.Lock()
+        self._collectors: List[Callable[[], None]] = []
 
     # -- registration --------------------------------------------------
+
+    def add_collector(self, collector: Callable[[], None]) -> None:
+        """Run ``collector`` at the start of every read.
+
+        :meth:`snapshot`, :meth:`to_prometheus` and :meth:`state_dict`
+        call each collector first, so series computed from live state
+        are exact at the moment they are read and cost nothing while
+        nobody reads.
+        """
+        self._collectors.append(collector)
+
+    def _collect(self) -> None:
+        for collector in tuple(self._collectors):
+            collector()
 
     def counter(self, name: str, help_text: str = "", labels: Sequence[str] = ()):
         return self._family(name, help_text, "counter", labels, {})
@@ -393,6 +411,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-able view of every live series (dashboard food)."""
+        self._collect()
         out: Dict[str, Any] = {"counters": [], "gauges": [], "histograms": []}
         for family in self._families.values():
             for key, metric in family.children():
@@ -419,6 +438,7 @@ class MetricsRegistry:
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition format (version 0.0.4)."""
+        self._collect()
         lines: List[str] = []
         for family in self._families.values():
             if not family._children:
@@ -459,6 +479,7 @@ class MetricsRegistry:
         registry exactly — the property the supervised pipeline's
         checkpoint journal relies on.
         """
+        self._collect()
         state: Dict[str, Any] = {"counters": {}, "gauges": {}, "histograms": {}}
         for family in self._families.values():
             for key, metric in family.children():

@@ -156,9 +156,9 @@ class StageLatencyRecorder:
 
     Emits ``repro_serve_stage_seconds{stage=}`` histograms on every
     observation and refreshes ``repro_serve_stage_quantile_seconds
-    {stage=,q=}`` gauges from :meth:`collect` — append the recorder to
-    ``TelemetrySession.instruments`` so the session's snapshot cadence
-    drives the refresh, the same way detector instruments work.
+    {stage=,q=}`` gauges from :meth:`collect` — add the recorder with
+    ``TelemetrySession.add_instrument`` so every registry read refreshes
+    them, the same way detector instruments work.
     """
 
     def __init__(
@@ -201,7 +201,7 @@ class StageLatencyRecorder:
         return self._by_stage[stage][1]
 
     def collect(self) -> None:
-        """Refresh the quantile gauges (TelemetrySession instrument hook)."""
+        """Refresh the quantile gauges (run on every registry read)."""
         for _child, stream, children in self._by_stage.values():
             if stream.count == 0:
                 continue

@@ -435,6 +435,40 @@ class TestController:
         assert detector.migrations > 2
         assert len(controller.journal) == 2
 
+    @pytest.mark.parametrize("spec", [
+        APBF_SPEC,
+        DetectorSpec("tbf", WindowSpec("sliding", 64), target_fp=0.02),
+        DetectorSpec("tbf", WindowSpec("sliding", 64), target_fp=0.02, shards=2),
+    ])
+    def test_bits_per_click_gauge(self, spec):
+        from repro.telemetry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        detector = AdaptiveDetector(spec, retain=64)
+        controller = AdaptiveController(
+            detector, ControllerConfig(cooldown=1_000), registry=registry
+        )
+        detector.observe_batch(_distinct(300, seed=4))
+        elements = detector.telemetry_snapshot()["counters"]["elements"]
+        assert elements == 300
+        inner = detector.inner
+        snapshots = []
+        snapshot = inner.telemetry_snapshot
+
+        def counted():
+            snapshots.append(1)
+            return snapshot()
+
+        inner.telemetry_snapshot = counted
+        controller.observe()
+        gauges = registry.state_dict()["gauges"]
+        assert gauges["repro_adaptive_bits_per_click"] == (
+            detector.memory_bits / elements
+        )
+        # A detector with an operation counter is read, not swept; a
+        # sharded fleet has none and answers through its snapshot.
+        assert len(snapshots) == (0 if spec.shards == 1 else 1)
+
     def test_scaled_spec_validation(self):
         with pytest.raises(ConfigurationError):
             scaled_spec(APBF_SPEC, 2.0)  # target_fp sizing has no knob

@@ -72,6 +72,41 @@ def test_wrapped_ages_matches_modulo(period, now, values):
     assert np.array_equal(kernels.wrapped_ages(now, array, period), expected)
 
 
+@SETTINGS
+@given(
+    dtype=st.sampled_from([np.uint8, np.uint16, np.uint32]),
+    span_gap=st.integers(min_value=1, max_value=40).flatmap(
+        lambda span: st.tuples(
+            st.just(span), st.integers(min_value=1, max_value=20)
+        )
+    ),
+    # Clock positions cluster at both edges of the wrap: ``now - span``
+    # just below 0, exactly 0, and just above.
+    offset=st.integers(min_value=-3, max_value=3),
+    data=st.data(),
+)
+def test_window_counts_match_modulo_near_the_wrap(dtype, span_gap, offset, data):
+    span, gap = span_gap
+    period = span + gap
+    bits = max(1, (period).bit_length())
+    empty = (1 << bits) - 1  # the all-ones sentinel the TBFs reserve
+    if empty > np.iinfo(dtype).max:
+        dtype = np.uint32
+    now = (span + offset) % period
+    values = data.draw(
+        st.lists(
+            st.one_of(st.integers(0, period - 1), st.just(empty)),
+            max_size=80,
+        )
+    )
+    entries = np.array(values, dtype=dtype)
+    wide = entries.astype(np.int64)
+    occupied = wide != empty
+    in_window = (now - wide) % period < span
+    expected = (int((occupied & in_window).sum()), int(occupied.sum()))
+    assert kernels.window_counts(entries, now, span, period, empty) == expected
+
+
 # ----------------------------------------------------------------------
 # Lane OR scatter
 # ----------------------------------------------------------------------

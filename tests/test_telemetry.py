@@ -6,9 +6,11 @@ exposition — including the line-format lint the CI observability job
 runs, so a malformed sample line fails before a scraper ever sees it.
 """
 
+import asyncio
 import json
 import math
 import re
+import threading
 
 import pytest
 
@@ -346,6 +348,125 @@ class TestSession:
             if entry["name"] == "repro_detector_fill_ratio"
         ]
         assert any(fill > 0 for fill in fills)
+
+    def test_reads_are_current_without_a_cadence(self):
+        session = TelemetrySession(snapshot_every=10_000)
+        detector = GBFDetector(64, 8, 512, 3, seed=1)
+        session.instrument_detector(detector)
+        elements = "repro_detector_events_total{detector=GBFDetector,key=elements}"
+        estimate = "repro_detector_estimated_fp_rate{detector=GBFDetector}"
+        for clicks in (7, 19):
+            while detector.counter.elements < clicks:
+                detector.process(detector.counter.elements)
+                session.advance(1)  # never reaches the cadence
+            state = session.registry.state_dict()
+            assert state["counters"][elements] == clicks
+            assert state["gauges"][estimate] == detector.estimated_fp_rate()
+            snapshot = {
+                entry["name"]: entry["value"]
+                for entry in session.registry.snapshot()["gauges"]
+                if not entry["labels"].get("part")
+            }
+            assert snapshot["repro_detector_estimated_fp_rate"] == (
+                detector.estimated_fp_rate()
+            )
+            text = session.registry.to_prometheus()
+            assert (
+                'repro_detector_events_total{detector="GBFDetector",'
+                f'key="elements"}} {clicks}'
+            ) in text
+
+    def test_advance_without_subscribers_collects_nothing(self):
+        session = TelemetrySession(snapshot_every=10)
+        collected = []
+
+        class Probe:
+            def collect(self):
+                collected.append(1)
+
+        session.add_instrument(Probe())
+        session.advance(1_000)
+        assert collected == []
+        session.registry.snapshot()
+        assert collected == [1]
+
+    def test_pipelines_sharing_a_session_keep_their_own_instruments(self):
+        from repro.detection import DetectionPipeline
+
+        session = TelemetrySession()
+        first = DetectionPipeline(GBFDetector(64, 8, 512, 3, seed=1), telemetry=session)
+        second = DetectionPipeline(GBFDetector(64, 8, 512, 3, seed=2), telemetry=session)
+        assert session.instruments == [first.instrument, second.instrument]
+        replaced = first.instrument
+        first.set_detector(GBFDetector(64, 8, 512, 3, seed=3))
+        assert replaced not in session.instruments
+        assert session.instruments == [second.instrument, first.instrument]
+
+    def test_instruments_collect_on_their_loop(self):
+        session = TelemetrySession()
+        threads = []
+
+        class Probe:
+            def collect(self):
+                threads.append(threading.get_ident())
+
+        loop = asyncio.new_event_loop()
+        runner = threading.Thread(target=loop.run_forever, daemon=True)
+        runner.start()
+        try:
+            async def add():
+                session.add_instrument(Probe())
+
+            asyncio.run_coroutine_threadsafe(add(), loop).result(5)
+            session.registry.snapshot()  # from this thread: runs on the loop
+            assert threads == [runner.ident]
+        finally:
+            loop.call_soon_threadsafe(loop.stop)
+            runner.join(5)
+        assert not runner.is_alive()
+        # Stopped but not closed: the read runs the collect inline.
+        session.registry.snapshot()
+        loop.close()
+        session.registry.snapshot()  # closed: inline too
+        assert threads == [runner.ident, threading.get_ident(), threading.get_ident()]
+
+    def test_two_loops_sharing_a_session_never_wait_on_each_other(self):
+        session = TelemetrySession()
+        seen = {}
+        loops = [asyncio.new_event_loop() for _ in range(2)]
+        runners = [
+            threading.Thread(target=loop.run_forever, daemon=True) for loop in loops
+        ]
+        for runner in runners:
+            runner.start()
+        try:
+            for index, loop in enumerate(loops):
+
+                class Probe:
+                    def collect(self, index=index):
+                        seen.setdefault(index, set()).add(threading.get_ident())
+
+                async def add(probe=Probe()):
+                    session.add_instrument(probe)
+
+                asyncio.run_coroutine_threadsafe(add(), loop).result(5)
+
+            async def read():
+                session.registry.snapshot()
+
+            # Both loops read at once, each collecting the other's probe.
+            futures = [asyncio.run_coroutine_threadsafe(read(), loop) for loop in loops]
+            for future in futures:
+                future.result(10)
+            assert seen[0] == {runners[0].ident}
+            assert seen[1] == {runners[1].ident}
+        finally:
+            for loop in loops:
+                loop.call_soon_threadsafe(loop.stop)
+            for runner in runners:
+                runner.join(5)
+            for loop in loops:
+                loop.close()
 
     def test_default_buckets_are_increasing(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)

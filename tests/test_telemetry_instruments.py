@@ -14,7 +14,10 @@ The tentpole invariants:
 """
 
 import json
+import logging
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,8 +32,9 @@ from repro.core import (
     load_detector,
     save_detector,
 )
+from repro.cluster import LocalCluster
 from repro.core.checkpoint import unpack_frame
-from repro.detection import DetectionPipeline
+from repro.detection import DetectionPipeline, DetectorSpec, WindowSpec, create_detector
 from repro.detection.sharded import FailoverPolicy
 from repro.resilience import (
     CheckpointStore,
@@ -38,6 +42,7 @@ from repro.resilience import (
     InjectedCrash,
     SupervisedPipeline,
 )
+from repro.serve import ServeClient, ServeConfig, ServerThread
 from repro.streams.click import Click
 from repro.telemetry import (
     DetectorInstrument,
@@ -442,3 +447,139 @@ class TestMonitorCli:
             event["name"] == "pipeline.run_batch.chunk"
             for event in trace["traceEvents"]
         )
+
+
+SERVED_SPEC = DetectorSpec("tbf", WindowSpec("sliding", 4096), target_fp=0.01)
+
+
+def served_stream(count, seed=5, universe=3_000):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, universe, size=count, dtype=np.uint64)
+
+
+class TestPullCollection:
+    """Serving computes no telemetry; a read computes it, on the loop."""
+
+    def test_served_run_without_a_reader_never_snapshots(self):
+        detector = create_detector(SERVED_SPEC)
+        calls = []
+        snapshot = detector.telemetry_snapshot
+
+        def counted():
+            calls.append(1)
+            return snapshot()
+
+        detector.telemetry_snapshot = counted
+        session = TelemetrySession(snapshot_every=1_000)
+        identifiers = served_stream(20_000)
+        with ServerThread(detector, telemetry=session) as thread:
+            baseline = len(calls)  # the instrument's counter baseline
+            with ServeClient("127.0.0.1", thread.port) as client:
+                for chunk in np.array_split(identifiers, 20):
+                    client.send(chunk)
+            assert len(calls) == baseline
+            gauges = {
+                entry["name"]: entry["value"]
+                for entry in session.registry.snapshot()["gauges"]
+                if entry["name"] == "repro_detector_estimated_fp_rate"
+            }
+            assert len(calls) == baseline + 1
+            assert gauges["repro_detector_estimated_fp_rate"] == (
+                detector.estimated_fp_rate()
+            )
+        assert detector.counter.elements == identifiers.shape[0]
+
+    def test_scrapes_from_another_thread_during_parallel_serving(self, caplog):
+        spec = DetectorSpec(
+            "tbf", WindowSpec("sliding", 4096), target_fp=0.01, shards=2
+        )
+        identifiers = served_stream(24_000, seed=9)
+        session = TelemetrySession()
+        stop = threading.Event()
+        reads, errors = [], []
+
+        def scrape():
+            while not stop.is_set():
+                try:
+                    session.registry.snapshot()
+                except Exception as error:  # surfaced by the asserts below
+                    errors.append(error)
+                    return
+                reads.append(1)
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with ServerThread(
+                create_detector(spec), ServeConfig(workers=2), telemetry=session
+            ) as thread:
+                engine = thread.server.pipeline.detector
+                collected_on = []
+                snapshot = engine.telemetry_snapshot
+
+                def on_which_thread():
+                    collected_on.append(threading.get_ident())
+                    return snapshot()
+
+                engine.telemetry_snapshot = on_which_thread
+                scraper = threading.Thread(target=scrape, daemon=True)
+                scraper.start()
+                try:
+                    with ServeClient("127.0.0.1", thread.port) as client:
+                        served = np.concatenate([
+                            client.send(chunk)
+                            for chunk in np.array_split(identifiers, 24)
+                        ])
+                finally:
+                    stop.set()
+                    scraper.join(30)
+                assert engine.worker_deaths == 0
+                assert engine.worker_respawns == 0
+                assert engine.degraded_shards() == {}
+                # Every collect ran on the server's loop, never on the
+                # scraper: the rings the collect writes have one producer.
+                assert collected_on
+                assert set(collected_on) == {thread._thread.ident}
+        assert not scraper.is_alive()
+        assert errors == []
+        assert len(reads) > 1
+        expected = DetectionPipeline(
+            create_detector(spec), score_sources=False
+        ).run_identified_batch(identifiers)
+        assert (served == expected).all()
+        counters = session.registry.state_dict()["counters"]
+        assert counters.get("repro_serve_engine_errors_total", 0) == 0
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+    def test_shared_cluster_session_instruments_every_node(self, tmp_path):
+        session = TelemetrySession()
+        identifiers = served_stream(6_000, seed=3, universe=1_024)
+        with LocalCluster(
+            lambda: tbf_fleet(1 << 10, 8, 1 << 13, 4, seed=1),
+            2,
+            tmp_path / "state",
+            telemetry=session,
+        ) as cluster:
+            instrumented = [
+                instrument.detector
+                for instrument in session.instruments
+                if isinstance(instrument, DetectorInstrument)
+            ]
+            engines = [thread.server.pipeline.detector for thread in cluster.servers]
+            assert len(instrumented) == 2
+            assert all(
+                any(detector is engine for detector in instrumented)
+                for engine in engines
+            )
+            with ServeClient("127.0.0.1", cluster.port) as client:
+                for chunk in np.array_split(identifiers, 6):
+                    client.send(chunk)
+            # Both nodes' instruments add their deltas to one series.
+            counters = session.registry.state_dict()["counters"]
+            assert counters[
+                "repro_detector_events_total{detector=ClusterSlice,key=elements}"
+            ] == identifiers.shape[0]
+            # One shared registry: the scrape reads it once for all.
+            scraped = cluster.scrape()
+            assert all(
+                node["metrics"] is scraped["router"]
+                for node in scraped["nodes"].values()
+            )
