@@ -8,8 +8,8 @@ The observability layer promises two ceilings (docs/observability.md):
 * **enabled** — a real registry + detector instrument + periodic
   snapshot collection must cost < 30%.  (The absolute per-chunk cost
   hasn't grown since the ceiling was 15% — the fused batch path under
-  it got ~3x faster, so the same spans and snapshots are a larger
-  fraction of a much shorter pass.)
+  it got ~3x faster, so the same snapshots are a larger fraction of a
+  much shorter pass.)
 
 Both ceilings are asserted here for the paper's two headline detectors
 (GBF and TBF) on their vectorized batch path.  The three modes run the
@@ -72,11 +72,12 @@ def _session_for(mode: str):
 def time_mode(name: str, mode: str, identifiers, warmup) -> float:
     """Seconds for one timed pass of ``mode`` over ``identifiers``.
 
-    The per-chunk shape mirrors ``DetectionPipeline.run_batch``: a span
-    around the batch call, counter increments for the chunk's verdict
-    tallies, and ``advance`` driving the snapshot cadence.  In bare
-    mode those lines are absent entirely; in noop mode they hit the
-    null twins.
+    The per-chunk shape mirrors ``DetectionPipeline.run_batch`` without
+    a span writer (``repro monitor --trace-out`` is the one caller that
+    attaches one): the batch call, counter increments for the chunk's
+    verdict tallies, and ``advance`` driving the snapshot cadence.  In
+    bare mode the telemetry lines are absent entirely; in noop mode
+    they hit the null twins.
     """
     detector = build_detector(name)
     session = _session_for(mode)
@@ -93,7 +94,6 @@ def time_mode(name: str, mode: str, identifiers, warmup) -> float:
 
     if session.enabled:
         session.instrument_detector(detector)
-    tracer = session.tracer
     registry = session.registry
     clicks_total = registry.counter(
         "repro_pipeline_clicks_total", "Clicks processed by the pipeline"
@@ -105,8 +105,7 @@ def time_mode(name: str, mode: str, identifiers, warmup) -> float:
     start = time.perf_counter()
     for s in range(0, TIMED, CHUNK):
         chunk = identifiers[s : s + CHUNK]
-        with tracer.span("pipeline.run_batch.chunk", size=chunk.shape[0]):
-            verdicts = process_batch(chunk)
+        verdicts = process_batch(chunk)
         duplicates = int(np.count_nonzero(verdicts))
         clicks_total.inc(chunk.shape[0])
         if duplicates:

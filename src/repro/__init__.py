@@ -44,6 +44,7 @@ from .baselines import (
 )
 from .bloom import BloomFilter, CountingBloomFilter, StableBloomFilter
 from .core import (
+    CheckpointStore,
     GBFDetector,
     TBFDetector,
     TBFJumpingDetector,
@@ -70,7 +71,6 @@ from .detection import (
     TBFParams,
     TLBFParams,
     WindowSpec,
-    as_lifecycle,
     create_detector,
 )
 from .errors import (
@@ -84,19 +84,12 @@ from .errors import (
     ReproError,
     StreamError,
 )
-from .resilience import (
-    CheckpointStore,
-    DeadLetterSink,
-    FaultInjector,
-    ReorderBuffer,
-    SupervisedPipeline,
-)
+from .resilience import DeadLetterSink, FaultInjector
 from .telemetry import (
     DetectorInstrument,
     MetricsRegistry,
     NullRegistry,
     TelemetrySession,
-    Tracer,
     render_dashboard,
     theoretical_fp_bound,
 )
@@ -152,7 +145,6 @@ __all__ = [
     "ResizeEvent",
     "scaled_spec",
     "DetectorLifecycle",
-    "as_lifecycle",
     # detection & planning
     "create_detector",
     "DetectorSpec",
@@ -169,17 +161,14 @@ __all__ = [
     "plan_tbf_from_memory",
     "plan_tbf_for_target",
     # resilience
-    "SupervisedPipeline",
     "CheckpointStore",
     "DeadLetterSink",
-    "ReorderBuffer",
     "FaultInjector",
     # telemetry
     "TelemetrySession",
     "MetricsRegistry",
     "NullRegistry",
     "DetectorInstrument",
-    "Tracer",
     "render_dashboard",
     "theoretical_fp_bound",
     # errors

@@ -17,9 +17,9 @@ swaps it in — the wrapper object (and therefore every reference held by
 pipelines, routers, and instruments) survives the resize.  The wrapper
 natively implements the full
 :class:`~repro.detection.DetectorLifecycle` protocol
-(``quiesce / checkpoint / migrate / resume``), so the supervised
-pipeline, the parallel fleet, and the cluster router drive them through
-the same four verbs they use for everything else.
+(``quiesce / checkpoint / migrate / resume``), so the adaptive
+controller drives it through the same four verbs the parallel fleet and
+the local cluster answer.
 
 Replay semantics are deliberately simple and testable: after
 ``migrate(new_spec)``, the wrapper's verdicts match a *fresh* detector
@@ -173,8 +173,8 @@ class AdaptiveDetector:
         """Serialize wrapper + retained window + inner state to bytes."""
         return save_detector(self)
 
-    # Supervised-pipeline compatibility: it snapshots via
-    # ``checkpoint_state()`` when a detector offers one.
+    # The serve drain checkpoint snapshots every detector through
+    # ``checkpoint_state()``.
     def checkpoint_state(self) -> bytes:
         return save_detector(self)
 

@@ -56,10 +56,15 @@ from .detection import (
     create_detector,
     default_rules,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, RecoveryError
 from .metrics import render_table
 from .streams import load_clicks, read_batches, write_clicks_csv, write_clicks_jsonl
-from .telemetry import TelemetrySession, render_dashboard
+from .telemetry import (
+    SpanShardWriter,
+    TelemetrySession,
+    merge_shards,
+    render_dashboard,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -551,24 +556,32 @@ def _command_monitor(args: argparse.Namespace) -> int:
         print("error: an input stream file is required without --cluster",
               file=sys.stderr)
         return 2
+    import tempfile
+
     clicks = load_clicks(args.input)
     detector = create_detector(_spec_from_args(args))
 
-    session = TelemetrySession(snapshot_every=args.every)
-    session.on_snapshot(
-        lambda snapshot: print(render_dashboard(snapshot, title=args.algorithm))
-    )
-    pipeline = DetectionPipeline(detector, telemetry=session)
-    result = pipeline.run_batch(clicks, chunk_size=max(1, args.chunk_size))
+    with tempfile.TemporaryDirectory(prefix="repro-monitor-") as shard_dir:
+        spans = SpanShardWriter(shard_dir, "monitor") if args.trace_out else None
+        session = TelemetrySession(spans=spans, snapshot_every=args.every)
+        session.on_snapshot(
+            lambda snapshot: print(render_dashboard(snapshot, title=args.algorithm))
+        )
+        pipeline = DetectionPipeline(detector, telemetry=session)
+        try:
+            result = pipeline.run_batch(clicks, chunk_size=max(1, args.chunk_size))
+        finally:
+            if spans is not None:
+                spans.close()
 
-    # Final snapshot so short streams still render at least one dashboard.
-    session.emit()
-    print(f"\n{result.processed} clicks; {result.duplicates} duplicates "
-          f"({100 * result.duplicate_rate:.2f}%)")
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            handle.write(session.tracer.to_json())
-        print(f"wrote {len(session.tracer.spans())} spans to {args.trace_out}")
+        # Final snapshot so short streams still render at least one dashboard.
+        session.emit()
+        print(f"\n{result.processed} clicks; {result.duplicates} duplicates "
+              f"({100 * result.duplicate_rate:.2f}%)")
+        if spans is not None:
+            trace = merge_shards(shard_dir, output=args.trace_out)
+            count = sum(1 for event in trace["traceEvents"] if event["ph"] == "X")
+            print(f"wrote {count} spans to {args.trace_out}")
     if args.prometheus:
         print()
         print(session.registry.to_prometheus(), end="")
@@ -636,13 +649,17 @@ def _command_cluster(args: argparse.Namespace) -> int:
     config = ClusterConfig(
         host=args.host, port=args.port, total_shards=args.shards
     )
-    cluster = LocalCluster(
-        lambda: create_detector(spec),
-        nodes=args.nodes,
-        state_dir=args.state_dir,
-        config=config,
-        telemetry=True,
-    ).start()
+    try:
+        cluster = LocalCluster(
+            lambda: create_detector(spec),
+            nodes=args.nodes,
+            state_dir=args.state_dir,
+            config=config,
+            telemetry=True,
+        ).start()
+    except RecoveryError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     ports = ", ".join(
         f"node-{index}:{cluster._ports[index]}" for index in range(args.nodes)
     )
@@ -734,7 +751,11 @@ def _command_serve(args: argparse.Namespace) -> int:
         await server.wait_drained()
         return server
 
-    server = asyncio.run(_serve_main())
+    try:
+        server = asyncio.run(_serve_main())
+    except RecoveryError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     print(f"drained: {server.processed_clicks} clicks classified, "
           f"{dead_letters.total} frames dead-lettered")
     if args.adaptive_interval > 0:
@@ -762,7 +783,6 @@ def _command_trace(args: argparse.Namespace) -> int:
 
     from .serve import ServeConfig, ServerThread
     from .serve.client import _synthetic_batches, run_load
-    from .telemetry import merge_shards
     from .telemetry.monitor import _latency_panel
 
     def _merge(directory: str) -> int:

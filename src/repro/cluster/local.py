@@ -30,9 +30,8 @@ from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from ..core.checkpoint import CheckpointError, pack_frame, unpack_frame
-from ..errors import ConfigurationError
-from ..resilience.supervisor import CheckpointStore
+from ..core.checkpoint import CheckpointError, CheckpointStore, pack_frame
+from ..errors import ConfigurationError, RecoveryError
 from ..serve.server import _CHECKPOINT_KIND, ServeConfig, ServerThread
 from ..telemetry import TelemetrySession
 from .hashring import HashRing
@@ -54,22 +53,19 @@ def _node_names(count: int) -> List[str]:
 
 
 def read_manifest(state_dir: Union[str, Path]) -> Optional[dict]:
-    """The newest readable cluster manifest under ``state_dir``, or None."""
+    """The newest usable cluster manifest under ``state_dir``, or None."""
     store = CheckpointStore(Path(state_dir) / "manifest", keep=8)
-    for _path, blob in store.blobs():
-        if blob is None:
-            continue
-        try:
-            header, _payload = unpack_frame(blob)
-        except CheckpointError:
-            continue
-        if header.get("kind") == MANIFEST_KIND:
-            return header
-    return None
+    try:
+        return store.load(MANIFEST_KIND, lambda header, _payload: header)
+    except RecoveryError:
+        # An unusable manifest counts as absent: it only names the node
+        # directories, and rebalance then finds them by the ``node-*``
+        # glob instead.
+        return None
 
 
 def _collect_checkpoint_dirs(directories, keep: int = 2, expected_total=None):
-    """Newest serve checkpoint of each directory → per-shard blobs plus
+    """Newest usable serve checkpoint of each directory → per-shard blobs plus
     merged ``(processed, watermark, dedup floors)`` and the slices' time
     model.
 
@@ -85,47 +81,36 @@ def _collect_checkpoint_dirs(directories, keep: int = 2, expected_total=None):
     timed = False
     total = expected_total
     for directory in directories:
-        found = False
-        for _path, blob in CheckpointStore(directory, keep=keep).blobs():
-            if blob is None:
-                continue
-            try:
-                header, payload = unpack_frame(blob)
-                if header.get("kind") != _CHECKPOINT_KIND:
-                    continue
-                blob_total, blob_timed, blobs = slice_shard_blobs(bytes(payload))
-            except CheckpointError:
-                continue
-            if total is None:
-                total = blob_total
-            elif blob_total != total:
-                raise CheckpointError(
-                    f"{directory} checkpoint covers {blob_total} shards, "
-                    f"expected {total}"
-                )
-            timed = blob_timed
-            shard_blobs.update(blobs)
-            processed += int(header.get("processed", 0))
-            mark = header.get("watermark")
-            if mark is not None:
-                watermark = (
-                    float(mark) if watermark is None
-                    else max(watermark, float(mark))
-                )
-            dedup = header.get("dedup") or {}
-            for client_id, _floor, max_applied, _entries in dedup.get(
-                "clients", []
-            ):
-                client_id = int(client_id)
-                floors[client_id] = max(
-                    floors.get(client_id, 0), int(max_applied)
-                )
-            found = True
-            break
-        if not found:
+        found = CheckpointStore(directory, keep=keep).load(
+            _CHECKPOINT_KIND,
+            lambda header, payload: (header, slice_shard_blobs(bytes(payload))),
+        )
+        if found is None:
             raise CheckpointError(
-                f"{directory} has no readable checkpoint to rebalance from"
+                f"{directory} has no checkpoint to rebalance from"
             )
+        header, (blob_total, timed, blobs) = found
+        if total is None:
+            total = blob_total
+        elif blob_total != total:
+            raise CheckpointError(
+                f"{directory} checkpoint covers {blob_total} shards, "
+                f"expected {total}"
+            )
+        shard_blobs.update(blobs)
+        processed += int(header.get("processed", 0))
+        mark = header.get("watermark")
+        if mark is not None:
+            watermark = (
+                float(mark) if watermark is None
+                else max(watermark, float(mark))
+            )
+        dedup = header.get("dedup") or {}
+        for client_id, _floor, max_applied, _entries in dedup.get(
+            "clients", []
+        ):
+            client_id = int(client_id)
+            floors[client_id] = max(floors.get(client_id, 0), int(max_applied))
     merged_dedup = (
         {
             "clients": [
@@ -332,10 +317,18 @@ class LocalCluster:
         names = _node_names(self.num_nodes)
         self.assignment = HashRing(names).assign(total)
         slices = split_sharded(reference, self.assignment, self.num_nodes)
-        self.servers = [
-            self._boot_node(index, slices[index])
-            for index in range(self.num_nodes)
-        ]
+        self.servers = []
+        try:
+            for index in range(self.num_nodes):
+                self.servers.append(self._boot_node(index, slices[index]))
+        except BaseException:
+            # A node refused to boot (say, every generation of its store
+            # is unusable): stop the ones already up without a drain, so
+            # none of them writes a checkpoint over what is on disk.
+            for thread in self.servers:
+                thread.kill()
+            self.servers = []
+            raise
         specs = [
             NodeSpec("127.0.0.1", self._ports[index], name=names[index])
             for index in range(self.num_nodes)
@@ -389,8 +382,8 @@ class LocalCluster:
     # -- DetectorLifecycle verbs ----------------------------------------
     #
     # The cluster speaks the same quiesce / checkpoint / migrate /
-    # resume surface as a single detector (``repro.detection.api``),
-    # so supervisory code drives a fleet and a sketch identically.
+    # resume surface as the other tiers (``repro.detection.api``), so a
+    # controller drives a fleet and an adaptive detector identically.
     # ``checkpoint`` (above) is the cluster-wide barrier; ``migrate``'s
     # resize axis is fleet width — a checkpoint-shipping rebalance.
 

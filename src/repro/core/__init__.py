@@ -2,6 +2,7 @@
 
 from .checkpoint import (
     CheckpointError,
+    CheckpointStore,
     load_detector,
     pack_frame,
     register_checkpoint_kind,
@@ -31,6 +32,7 @@ __all__ = [
     "unpack_frame",
     "register_checkpoint_kind",
     "CheckpointError",
+    "CheckpointStore",
     "CountBasedDetector",
     "TimeBasedDetector",
     "GBFDetector",

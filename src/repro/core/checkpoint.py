@@ -22,21 +22,28 @@ save time rather than mis-restored at load time.
 
 Dispatch is an open registry: :func:`register_checkpoint_kind` binds a
 ``kind`` tag to a (class, save, load) triple, so higher layers — the
-sharded detectors in :mod:`repro.detection.sharded`, the supervised
-pipeline in :mod:`repro.resilience` — add their own frame kinds without
-this module importing them (no upward dependency).
+sharded detectors in :mod:`repro.detection.sharded`, the parallel
+engine, the adaptive wrappers — add their own frame kinds without this
+module importing them (no upward dependency).
+
+Frames at rest live in a :class:`CheckpointStore`: atomic, generational
+files in one directory, and the one rule for which generation a restore
+trusts.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import re
 import struct
 import zlib
-from typing import Any, Callable, Dict, List, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ConfigurationError, RecoveryError
 from ..hashing import (
     CarterWegmanFamily,
     DoubleHashingFamily,
@@ -52,6 +59,7 @@ from .tbf_timebased import TimeBasedTBFDetector
 
 __all__ = [
     "CheckpointError",
+    "CheckpointStore",
     "save_detector",
     "load_detector",
     "pack_frame",
@@ -98,8 +106,8 @@ def _rebuild_family(spec: Dict[str, Any]):
 
 
 # ----------------------------------------------------------------------
-# Frame format (shared by every checkpoint kind, including pipeline-level
-# checkpoints in repro.resilience)
+# Frame format (shared by every checkpoint kind, including the serve
+# drain checkpoint and the cluster manifest)
 # ----------------------------------------------------------------------
 
 def pack_frame(header: Dict[str, Any], payload: bytes) -> bytes:
@@ -143,6 +151,112 @@ def unpack_frame(blob: bytes) -> Tuple[Dict[str, Any], bytes]:
 # Backwards-compatible private aliases.
 _pack = pack_frame
 _unpack = unpack_frame
+
+
+# ----------------------------------------------------------------------
+# Generational store
+# ----------------------------------------------------------------------
+
+_GENERATION = re.compile(r"^ckpt-(\d{8})\.rpk$")
+
+_Parsed = TypeVar("_Parsed")
+
+
+class CheckpointStore:
+    """Atomic, generational checkpoint files in one directory.
+
+    ``save`` writes ``ckpt-<n>.rpk`` via temp file + ``fsync`` +
+    ``os.replace`` (+ directory fsync), so a crash at any instant leaves
+    either the previous generations or the previous generations plus a
+    complete new one — never a torn file under the real name.  The last
+    ``keep`` generations are retained; older ones are pruned after the
+    rename, so the fallback generation always exists on disk before its
+    predecessor dies.  :meth:`load` is the one reader: every restore
+    trusts the generation it picks.
+    """
+
+    def __init__(self, directory: Union[str, Path], keep: int = 2) -> None:
+        if keep < 1:
+            raise ConfigurationError(f"keep must be >= 1, got {keep}")
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        self.keep = keep
+
+    def paths(self) -> List[Path]:
+        """Checkpoint files, oldest first."""
+        found = []
+        for path in self.directory.iterdir():
+            match = _GENERATION.match(path.name)
+            if match:
+                found.append((int(match.group(1)), path))
+        return [path for _, path in sorted(found)]
+
+    def save(self, blob: bytes) -> Path:
+        """Durably write the next generation and prune old ones."""
+        paths = self.paths()
+        index = int(_GENERATION.match(paths[-1].name).group(1)) + 1 if paths else 1
+        final = self.directory / f"ckpt-{index:08d}.rpk"
+        temp = self.directory / f".ckpt-{index:08d}.tmp"
+        with open(temp, "wb") as handle:
+            handle.write(blob)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, final)
+        self._fsync_directory()
+        for stale in self.paths()[: -self.keep]:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
+        return final
+
+    def _fsync_directory(self) -> None:
+        try:
+            fd = os.open(self.directory, os.O_RDONLY)
+        except OSError:  # pragma: no cover - platform-dependent
+            return
+        try:
+            os.fsync(fd)
+        except OSError:  # pragma: no cover - platform-dependent
+            pass
+        finally:
+            os.close(fd)
+
+    def load(
+        self,
+        kind: str,
+        parse: Callable[[Dict[str, Any], bytes], _Parsed],
+    ) -> Optional[_Parsed]:
+        """``parse(header, payload)`` of the newest usable generation.
+
+        A generation is usable when its file reads, its frame unpacks
+        with ``kind`` in the header, and ``parse`` accepts it (raising
+        :class:`CheckpointError` rejects it).  A rejected generation
+        falls back to the one before it.  ``None`` means the store is
+        empty: a cold start.  When generations exist but none is usable,
+        this raises :class:`RecoveryError` rather than let the caller
+        start with an empty window (the recovery taxonomy in
+        :mod:`repro.errors`).
+        """
+        paths = self.paths()
+        if not paths:
+            return None
+        failures = []
+        for path in reversed(paths):
+            try:
+                header, payload = unpack_frame(path.read_bytes())
+                if header.get("kind") != kind:
+                    raise CheckpointError(
+                        f"not a {kind!r} checkpoint (kind {header.get('kind')!r})"
+                    )
+                return parse(header, payload)
+            except (OSError, CheckpointError) as error:
+                failures.append(f"{path.name}: {error}")
+        raise RecoveryError(
+            f"no usable {kind!r} checkpoint among {len(paths)} generation(s) "
+            f"in {self.directory} ({'; '.join(failures)}); restore the store "
+            "or move it aside to cold-start with an empty window"
+        )
 
 
 # ----------------------------------------------------------------------

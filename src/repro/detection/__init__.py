@@ -1,7 +1,7 @@
 """High-level detection: unified protocol + factory, pipeline, scoring, alerting."""
 
 from .alerts import Alert, AlertEngine, AlertRule, default_rules
-from .api import Detector, DetectorLifecycle, LifecycleAdapter, as_lifecycle
+from .api import Detector, DetectorLifecycle
 from .coalitions import CoalitionDetector, CoalitionPair, MinHashSignature
 from .detector import (
     ALGORITHMS,
@@ -37,8 +37,6 @@ __all__ = [
     "TIME_BASED_ALGORITHMS",
     "SHARDABLE_ALGORITHMS",
     "DetectorLifecycle",
-    "LifecycleAdapter",
-    "as_lifecycle",
     # Pipelines and sharding.
     "DetectionPipeline",
     "PipelineResult",

@@ -15,8 +15,8 @@ reference loops (``process`` / ``process_at``) and batch paths
 (``process_batch`` / ``process_batch_at``).
 
 :class:`DetectorLifecycle` names the four operational verbs (quiesce,
-checkpoint, migrate, resume) the supervisor, the parallel fleet, the
-cluster and the adaptive controller drive.
+checkpoint, migrate, resume) of the parallel fleet, the cluster and the
+adaptive wrappers.
 """
 
 from __future__ import annotations
@@ -25,13 +25,9 @@ from typing import Any, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-from ..errors import ConfigurationError
-
 __all__ = [
     "Detector",
     "DetectorLifecycle",
-    "LifecycleAdapter",
-    "as_lifecycle",
 ]
 
 
@@ -71,14 +67,16 @@ class Detector(Protocol):
 class DetectorLifecycle(Protocol):
     """The one lifecycle every operational flow drives.
 
-    Three flows grew their own ad-hoc variants of the same dance —
-    supervised restore (:mod:`repro.resilience.supervisor`), parallel
-    fleet checkpointing (:mod:`repro.parallel.engine`), and cluster
-    rebalancing (:mod:`repro.cluster.local`).  This protocol names the
-    four steps they share so controllers (notably
+    Parallel fleet checkpointing (:mod:`repro.parallel.engine`), cluster
+    rebalancing (:mod:`repro.cluster.local`) and adaptive resizing
+    (:mod:`repro.adaptive.lifecycle`) share the same dance.  This
+    protocol names its four steps so a controller (notably
     :class:`repro.adaptive.controller.AdaptiveController`) can run
     *quiesce → checkpoint → migrate(new_spec) → resume* against any of
-    them without knowing which tier they are talking to.
+    them without knowing which tier it is talking to.  A plain detector
+    is synchronous — every call returns with state settled — so it
+    needs no quiesce; to migrate one, wrap it in
+    :class:`repro.adaptive.lifecycle.AdaptiveDetector`.
     """
 
     def quiesce(self) -> None:
@@ -96,65 +94,3 @@ class DetectorLifecycle(Protocol):
     def resume(self) -> None:
         """Leave the quiesced state and accept traffic again."""
         ...
-
-
-class LifecycleAdapter:
-    """Give a plain detector the :class:`DetectorLifecycle` surface.
-
-    Plain detectors are synchronous — every call returns with state
-    settled — so ``quiesce``/``resume`` delegate when the detector has
-    them (sharded/parallel tiers) and are no-ops otherwise, and
-    ``checkpoint`` rides the registry.  ``migrate`` delegates too;
-    a detector with no native migrate cannot carry state across a
-    reconfiguration by itself — wrap it in
-    :class:`repro.adaptive.lifecycle.AdaptiveDetector`, which replays a
-    bounded retained window, to get one.
-    """
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: Any) -> None:
-        self.base = base
-
-    def quiesce(self) -> None:
-        method = getattr(self.base, "quiesce", None)
-        if method is not None:
-            method()
-
-    def checkpoint(self) -> bytes:
-        method = getattr(self.base, "checkpoint_state", None)
-        if method is not None:
-            return method()
-        from ..core.checkpoint import save_detector
-
-        return save_detector(self.base)
-
-    def migrate(self, new_spec: Any) -> None:
-        method = getattr(self.base, "migrate", None)
-        if method is None:
-            raise ConfigurationError(
-                f"{type(self.base).__name__} has no native migrate; wrap it "
-                "in repro.adaptive.lifecycle.AdaptiveDetector to migrate "
-                "with bounded replay"
-            )
-        method(new_spec)
-
-    def resume(self) -> None:
-        method = getattr(self.base, "resume", None)
-        if method is not None:
-            method()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"LifecycleAdapter({type(self.base).__name__})"
-
-
-def as_lifecycle(detector: Any) -> DetectorLifecycle:
-    """The :class:`DetectorLifecycle` view of any detector.
-
-    Objects already exposing the full surface (sharded tiers, parallel
-    engines, clusters, adaptive wrappers) pass through unchanged;
-    everything else is wrapped in a :class:`LifecycleAdapter`.
-    """
-    if isinstance(detector, DetectorLifecycle):
-        return detector
-    return LifecycleAdapter(detector)

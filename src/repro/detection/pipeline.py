@@ -19,6 +19,7 @@ from ..adnet.billing import BillingEngine
 from ..errors import BudgetError, ConfigurationError
 from ..streams.click import Click, DEFAULT_SCHEME, IdentifierScheme
 from ..telemetry import TelemetrySession
+from ..telemetry.requesttrace import new_trace_id
 from .scoring import SourceScoreboard
 
 
@@ -55,8 +56,10 @@ class DetectionPipeline:
         Track per-source duplicate ratios for fraud scoring.
     telemetry:
         A :class:`~repro.telemetry.TelemetrySession`.  Defaults to the
-        disabled session, whose registry and tracer are no-op twins —
-        the instrumented paths below then cost single dead calls.
+        disabled session, whose registry is a no-op twin — the
+        instrumented paths below then cost single dead calls.  When the
+        session carries a span writer, :meth:`run_batch` writes one
+        ``pipeline.run_batch.chunk`` span per chunk to it.
     """
 
     def __init__(
@@ -143,21 +146,17 @@ class DetectionPipeline:
         # The verdict dispatch is bound once (set_detector); hoist the
         # remaining lookups too.
         process_click = self.process_click
-        with self.telemetry.tracer.span("pipeline.run") as span:
-            for click in clicks:
-                result.processed += 1
-                try:
-                    duplicate = process_click(click)
-                except BudgetError:
-                    result.budget_exhausted += 1
-                    continue
-                if duplicate:
-                    result.duplicates += 1
-                else:
-                    result.valid += 1
-            span.annotate(
-                processed=result.processed, duplicates=result.duplicates
-            )
+        for click in clicks:
+            result.processed += 1
+            try:
+                duplicate = process_click(click)
+            except BudgetError:
+                result.budget_exhausted += 1
+                continue
+            if duplicate:
+                result.duplicates += 1
+            else:
+                result.valid += 1
         self._record_totals(
             result.processed, result.duplicates, result.valid,
             result.budget_exhausted,
@@ -219,6 +218,26 @@ class DetectionPipeline:
         scoreboard = self.scoreboard
         billing = self.billing
         telemetry = self.telemetry
+        spans = telemetry.spans
+        trace_id = new_trace_id() if spans is not None else 0
+
+        def classify(chunk: List[Click]) -> "np.ndarray":
+            identifiers = np.fromiter(
+                (identify(click) for click in chunk),
+                dtype=np.uint64,
+                count=len(chunk),
+            )
+            timestamps = (
+                np.fromiter(
+                    (click.timestamp for click in chunk),
+                    dtype=np.float64,
+                    count=len(chunk),
+                )
+                if timed
+                else None
+            )
+            return observe_batch(identifiers, timestamps)
+
         iterator = iter(clicks)
         while True:
             chunk = list(itertools.islice(iterator, chunk_size))
@@ -228,22 +247,13 @@ class DetectionPipeline:
                 result.processed, result.duplicates, result.valid,
                 result.budget_exhausted,
             )
-            with telemetry.tracer.span("pipeline.run_batch.chunk", size=len(chunk)):
-                identifiers = np.fromiter(
-                    (identify(click) for click in chunk),
-                    dtype=np.uint64,
-                    count=len(chunk),
-                )
-                timestamps = (
-                    np.fromiter(
-                        (click.timestamp for click in chunk),
-                        dtype=np.float64,
-                        count=len(chunk),
-                    )
-                    if timed
-                    else None
-                )
-                verdicts = observe_batch(identifiers, timestamps)
+            if spans is None:
+                verdicts = classify(chunk)
+            else:
+                with spans.span(
+                    "pipeline.run_batch.chunk", trace_id, size=len(chunk)
+                ):
+                    verdicts = classify(chunk)
             for click, verdict in zip(chunk, verdicts):
                 duplicate = bool(verdict)
                 result.processed += 1
@@ -300,12 +310,9 @@ class DetectionPipeline:
                 "run_identified_batch cannot settle billing; bill through "
                 "run()/run_batch() with full clicks"
             )
-        with self.telemetry.tracer.span(
-            "pipeline.run_identified_batch", size=int(len(identifiers))
-        ):
-            verdicts = np.asarray(
-                self.detector.observe_batch(identifiers, timestamps), dtype=bool
-            )
+        verdicts = np.asarray(
+            self.detector.observe_batch(identifiers, timestamps), dtype=bool
+        )
         processed = int(verdicts.shape[0])
         duplicates = int(np.count_nonzero(verdicts))
         self._record_totals(processed, duplicates, processed - duplicates, 0)

@@ -488,8 +488,8 @@ def _combined_spec(detector):
 
 # ----------------------------------------------------------------------
 # Checkpoint kinds: a sharded detector serializes as its shards' frames
-# concatenated, so SupervisedPipeline checkpoints sharded deployments
-# exactly like single detectors.  Custom routers are closures and cannot
+# concatenated, so a serve drain checkpoints sharded deployments exactly
+# like single detectors.  Custom routers are closures and cannot
 # round-trip; only the default router is accepted.
 # ----------------------------------------------------------------------
 

@@ -13,22 +13,22 @@ operator's response differs for each:
 
 * :class:`StreamError` — the *input* is at fault: a malformed record or
   a non-monotonic timestamp.  The detector state is intact; quarantine
-  the record (see ``repro.resilience.DeadLetterSink``) or widen the
-  reorder buffer and keep going.  Retrying the same record will fail
-  the same way.
+  the record (the readers' ``on_malformed`` hook takes a
+  ``repro.resilience.DeadLetterSink``; the ingest server answers such a
+  frame with ``ERROR`` and dead-letters it) and keep going.  Retrying
+  the same record will fail the same way.
 * :class:`CheckpointError` — one *artifact* is at fault: a checkpoint
   blob is corrupt, truncated, or belongs to a different configuration.
   This is recoverable by fallback: discard that blob and load the
-  previous generation (``repro.resilience.CheckpointStore`` does this
-  automatically).
-* :class:`RecoveryError` — the *resume itself* is impossible: every
-  checkpoint generation is unreadable, or the surviving state
-  contradicts the running configuration (wrong identifier scheme,
-  unknown billing entities).  There is no older artifact to fall back
-  to; a human must decide between a cold start (forgetting the window —
-  the attacker's free pass) and restoring infrastructure.  Raised
-  instead of a generic ``RuntimeError`` so supervisors can tell "retry
-  with the previous checkpoint" apart from "page somebody".
+  previous generation (``CheckpointStore.load`` in
+  :mod:`repro.core.checkpoint` does this automatically).
+* :class:`RecoveryError` — the *resume itself* is impossible: the
+  checkpoint store holds generations but none is usable.  There is no
+  older artifact to fall back to; a human must decide between a cold
+  start (forgetting the window — the attacker's free pass) and
+  restoring infrastructure.  A serve node refuses to boot with it
+  (``repro serve`` and ``repro cluster run`` exit 1) instead of
+  silently serving an empty window.
 """
 
 from __future__ import annotations
@@ -144,11 +144,10 @@ class CheckpointError(ReproError, RuntimeError):
 
 
 class RecoveryError(CheckpointError):
-    """A resume is impossible: no usable checkpoint, or state that
-    contradicts the running configuration.
+    """A resume is impossible: the checkpoint store holds no usable
+    generation.
 
     Unlike a plain :class:`CheckpointError` there is nothing left to
     fall back to — continuing requires a human decision (cold start vs.
-    restoring the checkpoint store), so supervisors must not swallow
-    this.
+    restoring the checkpoint store), so callers must not swallow this.
     """

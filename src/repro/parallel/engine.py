@@ -41,9 +41,9 @@ blobs; phase 2 commits one manifest frame holding the blobs plus the
 router's own state (arrival counts, degraded map, engine options).  The
 manifest registers as checkpoint kind ``parallel-sharded`` (blobs of the
 retired ``parallel-time-sharded`` kind still load), so
-:class:`~repro.resilience.SupervisedPipeline` journals a parallel
-deployment exactly like a single detector — and a restore *respawns the
-fleet* from the manifest.
+``save_detector`` / ``load_detector`` handle a parallel deployment
+exactly like a single detector — and a restore *respawns the fleet*
+from the manifest.
 """
 
 from __future__ import annotations
@@ -709,8 +709,9 @@ class ParallelShardedDetector:
 
         Between ``observe_batch`` calls the engine is already quiet (the
         hot path gathers what it sends), so this is a cheap invariant
-        check — but supervisors call it before checkpointing so the
-        two-phase snapshot never races an in-flight batch.
+        check.  :meth:`checkpoint` runs it first (in
+        :meth:`_gather_blobs`), so the two-phase snapshot never races an
+        in-flight batch.
         """
         for state in self._workers:
             while state.outstanding > 0:  # pragma: no cover - defensive
@@ -809,8 +810,8 @@ class ParallelShardedDetector:
         Phase 1 quiesces the rings and gathers per-worker blobs
         (:meth:`_gather_blobs`); phase 2 commits them into one manifest
         frame with the router's state.  ``save_detector`` dispatches
-        here, so a :class:`~repro.resilience.SupervisedPipeline` journals
-        a parallel deployment like any single detector.
+        here, so a parallel deployment checkpoints like any single
+        detector.
         """
         blobs = self._gather_blobs()
         header: Dict[str, object] = {

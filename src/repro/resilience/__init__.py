@@ -1,20 +1,20 @@
-"""Fault-tolerant stream processing: supervision, hardening, fault injection.
+"""Fault tolerance for the serve path: input hardening and fault injection.
 
 The detection pipeline as the paper frames it is one perfect pass over
-one well-formed stream.  Production is neither: processes die
-mid-window, checkpoint files rot, collectors deliver clicks late and
-out of order, and producers emit garbage.  This subsystem makes the
-reproduction restartable under all of it:
+one well-formed stream.  Production is neither: producers emit garbage,
+checkpoint files rot, engine tasks die or wedge.  The serve path's
+recovery — drain checkpoints in a
+:class:`~repro.core.checkpoint.CheckpointStore`, resume with fallback
+past a rotten generation, refusal when none is usable — lives in
+:mod:`repro.serve.server`; this package holds what hardens and tests it:
 
-* :class:`SupervisedPipeline` + :class:`CheckpointStore` — journaled
-  checkpoints (detector sketch, stream offset, billing watermark,
-  reorder buffer) with atomic writes and corrupt-generation fallback.
-* :class:`DeadLetterSink` / :class:`ReorderBuffer` — input hardening at
-  the pipeline boundary: quarantine instead of crash, bounded
-  re-sorting with an explicit clock-skew tolerance.
-* :class:`FaultInjector` — seeded crash / corruption / disorder
-  faults so tests prove the recovery invariants instead of assuming
-  them.
+* :class:`DeadLetterSink` — quarantine instead of crash, for malformed
+  reader records and the frames the ingest server refuses.
+* :class:`FaultInjector`, :class:`EngineFaultHooks` and
+  :class:`ChaosDetector` — seeded checkpoint corruption, engine-task
+  deaths and stalls, failed checkpoint writes and failing detector
+  calls, so tests and the chaos soak prove the recovery invariants
+  instead of assuming them.
 
 The recovery taxonomy (which errors mean retry, fall back, or page a
 human) is documented in :mod:`repro.errors`; the operational
@@ -27,33 +27,16 @@ from .faults import (
     ChaosDetector,
     EngineFaultHooks,
     FaultInjector,
-    InjectedCrash,
     InjectedFault,
 )
-from .hardening import (
-    DeadLetter,
-    DeadLetterSink,
-    ReorderBuffer,
-    ReorderStats,
-)
-from .supervisor import (
-    CheckpointStore,
-    SupervisedPipeline,
-    SupervisedResult,
-)
+from .hardening import DeadLetter, DeadLetterSink
 
 __all__ = [
-    "CheckpointStore",
-    "SupervisedPipeline",
-    "SupervisedResult",
     "DeadLetter",
     "DeadLetterSink",
-    "ReorderBuffer",
-    "ReorderStats",
     "ChaosDetector",
     "EngineFaultHooks",
     "FaultInjector",
-    "InjectedCrash",
     "InjectedFault",
     "CORRUPTION_MODES",
 ]

@@ -1,33 +1,22 @@
-"""Input hardening at the pipeline boundary: quarantine and reordering.
+"""Input hardening at the boundary: quarantine instead of crash.
 
-Production click feeds are hostile in two mundane ways long before any
-fraud: producers emit garbage records, and fan-in across collectors
-delivers clicks slightly out of timestamp order.  The stock pipeline
-treats both as fatal — a bad record raises :class:`StreamError` in the
-reader, and a single regressed timestamp kills every time-based
-detector mid-window.  This module absorbs both at the boundary:
-
-* :class:`DeadLetterSink` quarantines anything unprocessable — a
-  malformed reader record, an invalid click, a hopelessly late arrival —
-  keeping a bounded sample and full counters so the stream keeps
-  flowing *and* the operator can see what it shed (a rising quarantine
-  rate is itself an attack signal: garbage-flooding a collector is the
-  cheapest way to hide a fraud burst).
-* :class:`ReorderBuffer` restores timestamp order for displacements up
-  to its capacity and clamps residual skew up to an explicit tolerance;
-  only clicks later than *both* bounds are dead-lettered.  The buffer
-  trades latency (up to ``capacity`` clicks of delay) for order — the
-  same trade every stream processor's watermark makes.
+Production click feeds are hostile in a mundane way long before any
+fraud: producers emit garbage records.  The stock readers treat a bad
+record as fatal (:class:`StreamError`).  :class:`DeadLetterSink`
+quarantines anything unprocessable instead — a malformed reader record
+(the readers' ``on_malformed`` hook), a frame the ingest server refused
+— keeping a bounded sample and full counters so the stream keeps
+flowing *and* the operator can see what it shed (a rising quarantine
+rate is itself an attack signal: garbage-flooding a collector is the
+cheapest way to hide a fraud burst).
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
 from ..errors import ConfigurationError
-from ..streams.click import Click
 
 
 @dataclass
@@ -71,113 +60,5 @@ class DeadLetterSink:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def summary(self) -> Dict[str, int]:
-        return dict(self.counts)
-
     def __len__(self) -> int:
         return self.total
-
-
-@dataclass
-class ReorderStats:
-    """What the buffer did to the stream so far."""
-
-    emitted: int = 0
-    reordered: int = 0  # emitted in a different relative order than received
-    clamped: int = 0  # timestamp lifted to the watermark (within tolerance)
-    dropped: int = 0  # later than capacity + tolerance; dead-lettered
-
-
-class ReorderBuffer:
-    """Bounded min-heap that re-sorts clicks by timestamp before the detector.
-
-    Holds up to ``capacity`` clicks; each arrival beyond that emits the
-    earliest buffered click.  Any displacement of at most ``capacity``
-    positions is fully repaired.  A click that still regresses past the
-    emitted watermark is clamped to it when the skew is within
-    ``skew_tolerance`` (time-based detectors then see a monotonic clock
-    and at worst age the click by the tolerance), and dead-lettered
-    beyond that — an explicit bound, not a silent `StreamError`.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        skew_tolerance: float = 0.0,
-        dead_letters: Optional[DeadLetterSink] = None,
-    ) -> None:
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-        if skew_tolerance < 0:
-            raise ConfigurationError(
-                f"skew_tolerance must be >= 0, got {skew_tolerance}"
-            )
-        self.capacity = capacity
-        self.skew_tolerance = skew_tolerance
-        self.dead_letters = dead_letters
-        self.stats = ReorderStats()
-        self._heap: List[Tuple[float, int, Click]] = []
-        self._seq = 0
-        self._watermark: Optional[float] = None
-
-    def push(self, click: Click) -> List[Click]:
-        """Buffer one click; returns the clicks released by this arrival."""
-        heapq.heappush(self._heap, (click.timestamp, self._seq, click))
-        self._seq += 1
-        released: List[Click] = []
-        while len(self._heap) > self.capacity:
-            emitted = self._emit_min()
-            if emitted is not None:
-                released.append(emitted)
-        return released
-
-    def flush(self) -> List[Click]:
-        """Drain everything still buffered, in timestamp order."""
-        released: List[Click] = []
-        while self._heap:
-            emitted = self._emit_min()
-            if emitted is not None:
-                released.append(emitted)
-        return released
-
-    def _emit_min(self) -> Optional[Click]:
-        oldest_seq = min(entry[1] for entry in self._heap)
-        timestamp, seq, click = heapq.heappop(self._heap)
-        if seq != oldest_seq:
-            # An earlier arrival is still buffered: this emission repaired
-            # an out-of-order pair.
-            self.stats.reordered += 1
-        if self._watermark is not None and timestamp < self._watermark:
-            if self._watermark - timestamp > self.skew_tolerance:
-                self.stats.dropped += 1
-                if self.dead_letters is not None:
-                    self.dead_letters.record(click, reason="late")
-                return None
-            click = replace(click, timestamp=self._watermark)
-            self.stats.clamped += 1
-        else:
-            self._watermark = timestamp
-        self.stats.emitted += 1
-        return click
-
-    # -- checkpoint plumbing (used by SupervisedPipeline) --------------
-
-    def pending(self) -> List[Click]:
-        """Buffered clicks in emission order (for checkpointing)."""
-        return [click for _, _, click in sorted(self._heap)]
-
-    @property
-    def watermark(self) -> Optional[float]:
-        return self._watermark
-
-    def restore(self, clicks: List[Click], watermark: Optional[float]) -> None:
-        """Reload buffered clicks saved by :meth:`pending`."""
-        self._heap = []
-        self._seq = 0
-        for click in clicks:
-            heapq.heappush(self._heap, (click.timestamp, self._seq, click))
-            self._seq += 1
-        self._watermark = watermark
-
-    def __len__(self) -> int:
-        return len(self._heap)

@@ -56,10 +56,9 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..detection.pipeline import DetectionPipeline
-from ..errors import CheckpointError, ConfigurationError, ProtocolError
-from ..core.checkpoint import load_detector, pack_frame, unpack_frame
+from ..errors import ConfigurationError, ProtocolError
+from ..core.checkpoint import CheckpointStore, load_detector, pack_frame
 from ..resilience.hardening import DeadLetterSink
-from ..resilience.supervisor import CheckpointStore
 from ..streams.click import DEFAULT_SCHEME, IdentifierScheme
 from ..streams.io import click_from_record
 from ..telemetry import TelemetrySession
@@ -143,9 +142,8 @@ class ServeConfig:
     #: Time-based detectors only: how far (seconds) a batch's timestamps
     #: may lag the server's high-water mark before the batch is refused
     #: with ``ERROR``.  Lags within the tolerance are clamped up to the
-    #: watermark (the skew repair of
-    #: :class:`repro.resilience.hardening.ReorderBuffer`), so clients
-    #: whose clocks disagree by less than this can share one server.
+    #: watermark, so clients whose clocks disagree by less than this can
+    #: share one server.
     skew_tolerance: float = 1.0
     #: Exactly-once delivery: per-client response-cache entries and the
     #: number of distinct ``client_id`` windows kept (LRU).  A retried
@@ -697,30 +695,29 @@ class ClickIngestServer(Backend):
         self._engine_error = RuntimeError("engine wedged through drain")
 
     def _try_resume(self) -> None:
-        """Restore the newest readable drain checkpoint, if any."""
+        """Restore the newest usable drain checkpoint, if any.
+
+        An empty store cold-starts.  A store whose every generation is
+        unusable raises :class:`~repro.errors.RecoveryError` instead:
+        booting with a fresh detector would answer every replayed
+        in-window click as new.
+        """
         if self._store is None:
             return
-        for _path, blob in self._store.blobs():
-            if blob is None:
-                continue
-            try:
-                header, payload = unpack_frame(blob)
-                if header.get("kind") != _CHECKPOINT_KIND:
-                    raise CheckpointError(
-                        f"not a serve checkpoint: {header.get('kind')!r}"
-                    )
-                detector = load_detector(payload)
-            except CheckpointError:
-                continue  # fall back to the previous generation
-            self._base_detector = detector
-            self._resumed_clicks = int(header.get("processed", 0))
-            watermark = header.get("watermark")
-            if watermark is not None:
-                self._watermark = float(watermark)
-            dedup = header.get("dedup")
-            if dedup and self._dedup.enabled:
-                self._dedup.load(dedup)
+        restored = self._store.load(
+            _CHECKPOINT_KIND,
+            lambda header, payload: (header, load_detector(payload)),
+        )
+        if restored is None:
             return
+        header, self._base_detector = restored
+        self._resumed_clicks = int(header.get("processed", 0))
+        watermark = header.get("watermark")
+        if watermark is not None:
+            self._watermark = float(watermark)
+        dedup = header.get("dedup")
+        if dedup and self._dedup.enabled:
+            self._dedup.load(dedup)
 
     def _checkpoint(self) -> None:
         """Write the drain checkpoint; survive a failing write.
@@ -1363,7 +1360,9 @@ class ServerThread(LoopThread):
     The synchronous harness for tests, benchmarks, and embedding: start
     it, talk to ``thread.port`` with :class:`repro.serve.client
     .ServeClient`, and :meth:`stop` performs the same graceful drain a
-    ``SIGTERM`` would.
+    ``SIGTERM`` would.  ``start()`` raises what the server's
+    construction raised — :class:`~repro.errors.RecoveryError` when the
+    checkpoint store holds generations but none is usable.
     """
 
     def __init__(

@@ -1,20 +1,20 @@
-"""Runtime telemetry: metrics registry, tracing, detector instruments.
+"""Runtime telemetry: metrics registry, span shards, detector instruments.
 
 The observability layer of the reproduction (see docs/observability.md):
 
 * :mod:`.registry` — zero-dependency counters / gauges / histograms
-  with Prometheus-text and JSON exposition, plus a crash-consistent
-  ``state_dict``/``load_state`` round-trip.
-* :mod:`.tracing` — span-based timing with Chrome-trace JSON export.
+  with Prometheus-text and JSON exposition, plus an exact
+  ``state_dict`` read.
 * :mod:`.instruments` — projects detector health snapshots (fill
   ratios, live FP estimates vs. the paper's theoretical bounds,
   rotation/cleaning progress) into the registry.
 * :mod:`.session` — the bundle pipelines accept; disabled by default
   via no-op twins so the hot path pays a single dead call.
 * :mod:`.monitor` — terminal dashboard rendering for ``repro monitor``.
-* :mod:`.requesttrace` — serve-path request observability: per-stage
-  latency with exact streaming quantiles, cross-process span shards
-  merged into one Chrome trace, and the crash flight recorder.
+* :mod:`.requesttrace` — the one span model (per-process span shards
+  merged into one Chrome trace, used by the serve path and by
+  instrumented pipelines), per-stage serve latency with exact streaming
+  quantiles, and the crash flight recorder.
 """
 
 from .instruments import DetectorInstrument, theoretical_fp_bound
@@ -39,7 +39,6 @@ from .requesttrace import (
     set_current_trace,
 )
 from .session import TelemetrySession
-from .tracing import NullTracer, Span, Tracer
 
 __all__ = [
     "Counter",
@@ -50,9 +49,6 @@ __all__ = [
     "DetectorInstrument",
     "theoretical_fp_bound",
     "TelemetrySession",
-    "Tracer",
-    "NullTracer",
-    "Span",
     "render_dashboard",
     "SERVE_STAGES",
     "StreamingQuantile",

@@ -151,9 +151,9 @@ class DetectorInstrument:
             self._fp_bound_gauge.set(self.fp_bound)
 
         # Baseline the counter totals at the detector's *current* state:
-        # after a checkpoint restore the registry already carries the
-        # journaled running totals, so replaying the detector's lifetime
-        # totals here would double-count them.
+        # the registry's series keep running totals across a detector
+        # swap (``DetectionPipeline.set_detector``), so replaying the
+        # swapped-in detector's lifetime totals here would double-count.
         self._last_counters: Dict[str, Any] = dict(
             detector.telemetry_snapshot().get("counters", {})
         )

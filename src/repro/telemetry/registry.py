@@ -13,11 +13,9 @@ constraints, in order:
    shared no-op metric objects, so instrumented code pays one dead
    method call when telemetry is disabled (benchmarked ceiling in
    ``benchmarks/test_telemetry_overhead.py``).
-3. **Crash consistency.**  :meth:`MetricsRegistry.state_dict` /
-   :meth:`MetricsRegistry.load_state` round-trip every value
-   bit-identically through JSON, so the supervised pipeline can journal
-   telemetry alongside its detector checkpoints and a resumed process
-   continues the same counters (see :mod:`repro.resilience`).
+3. **Exact reads.**  :meth:`MetricsRegistry.state_dict` returns every
+   series' raw value keyed by series name, and survives a JSON round
+   trip bit-identically, so a reader can compare values with ``==``.
 
 Exposition: :meth:`MetricsRegistry.to_prometheus` emits the Prometheus
 text format (``# HELP`` / ``# TYPE`` / samples, histograms as
@@ -34,7 +32,7 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..errors import ConfigurationError
 
@@ -90,9 +88,6 @@ class Counter:
     def _state(self) -> float:
         return self.value
 
-    def _load(self, state: Any) -> None:
-        self.value = state
-
     def _sample(self) -> float:
         return self.value
 
@@ -117,9 +112,6 @@ class Gauge:
 
     def _state(self) -> float:
         return self.value
-
-    def _load(self, state: Any) -> None:
-        self.value = state
 
     def _sample(self) -> float:
         return self.value
@@ -211,19 +203,6 @@ class Histogram:
             "reservoir": list(self.reservoir),
         }
 
-    def _load(self, state: Dict[str, Any]) -> None:
-        counts = [int(count) for count in state["bucket_counts"]]
-        if len(counts) != len(self.bucket_counts):
-            raise ConfigurationError(
-                "histogram state has a different bucket layout"
-            )
-        self.bucket_counts = counts
-        self.count = int(state["count"])
-        self.sum = state["sum"]
-        self.min = math.inf if state["min"] is None else state["min"]
-        self.max = -math.inf if state["max"] is None else state["max"]
-        self.reservoir = [float(value) for value in state["reservoir"]]
-
 
 _METRIC_CLASSES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
@@ -237,13 +216,11 @@ class MetricFamily:
     """
 
     __slots__ = (
-        "name", "help", "kind", "label_names",
-        "_registry", "_children", "_metric_kwargs",
+        "name", "help", "kind", "label_names", "_children", "_metric_kwargs",
     )
 
     def __init__(
         self,
-        registry: "MetricsRegistry",
         name: str,
         help_text: str,
         kind: str,
@@ -254,7 +231,6 @@ class MetricFamily:
         self.help = help_text
         self.kind = kind
         self.label_names = label_names
-        self._registry = registry
         self._children: Dict[Tuple[str, ...], Any] = {}
         self._metric_kwargs = metric_kwargs
 
@@ -276,7 +252,6 @@ class MetricFamily:
         if child is None:
             child = _METRIC_CLASSES[self.kind](**self._metric_kwargs)
             self._children[key] = child
-            self._registry._register_instance(self, key, child)
         return child
 
     def _default(self):
@@ -320,8 +295,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: "Dict[str, MetricFamily]" = {}
-        self._instances: Dict[str, Any] = {}
-        self._pending_state: Dict[str, Any] = {}
         self._lock = threading.Lock()
         self._collectors: List[Callable[[], None]] = []
 
@@ -387,25 +360,14 @@ class MetricsRegistry:
                     )
                 return family
             family = MetricFamily(
-                self, name, help_text, kind, label_names, metric_kwargs
+                name, help_text, kind, label_names, metric_kwargs
             )
             self._families[name] = family
         # Unlabeled families materialize their single series eagerly (like
-        # the Prometheus clients): the series exists at 0 from registration,
-        # and a registration after load_state() adopts the journaled value
-        # instead of leaving it parked in _pending_state.
+        # the Prometheus clients): the series exists at 0 from registration.
         if not label_names:
             family._default()
         return family
-
-    def _register_instance(
-        self, family: MetricFamily, key: Tuple[str, ...], metric: Any
-    ) -> None:
-        series = _series_key(family.name, family.label_names, key)
-        self._instances[series] = metric
-        pending = self._pending_state.pop(series, None)
-        if pending is not None:
-            metric._load(pending)
 
     # -- snapshot ------------------------------------------------------
 
@@ -469,15 +431,14 @@ class MetricsRegistry:
                     )
         return "\n".join(lines) + ("\n" if lines else "")
 
-    # -- crash-consistent state ---------------------------------------
+    # -- exact state --------------------------------------------------
 
     def state_dict(self) -> Dict[str, Any]:
         """Every live series' state, keyed by its series name.
 
-        Values round-trip through JSON bit-identically (Python float
-        repr is exact), so ``load_state(state_dict())`` restores the
-        registry exactly — the property the supervised pipeline's
-        checkpoint journal relies on.
+        Values are the raw counts and floats, not formatted samples, and
+        round-trip through JSON bit-identically (Python float repr is
+        exact).
         """
         self._collect()
         state: Dict[str, Any] = {"counters": {}, "gauges": {}, "histograms": {}}
@@ -486,24 +447,6 @@ class MetricsRegistry:
                 series = _series_key(family.name, family.label_names, key)
                 state[family.kind + "s"][series] = metric._state()
         return state
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        """Restore series values saved by :meth:`state_dict`.
-
-        Series whose metric is not registered yet are parked and applied
-        the moment the matching family/child is created, so restore
-        order does not matter.
-        """
-        for section in ("counters", "gauges", "histograms"):
-            for series, value in (state.get(section) or {}).items():
-                metric = self._instances.get(series)
-                if metric is not None:
-                    metric._load(value)
-                else:
-                    self._pending_state[series] = value
-
-    def families(self) -> List[MetricFamily]:
-        return list(self._families.values())
 
 
 def _prom_labels(label_names: Tuple[str, ...], values: Tuple[str, ...]) -> str:
@@ -572,6 +515,3 @@ class NullRegistry(MetricsRegistry):
 
     def state_dict(self) -> Dict[str, Any]:
         return {}
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        pass

@@ -1,8 +1,10 @@
-"""TelemetrySession: one handle bundling registry, tracer, instruments.
+"""TelemetrySession: one handle bundling registry, instruments, spans.
 
-The session is what pipelines accept: it owns the metrics registry and
-the tracer, and tracks the instruments whose series are computed from
-live state (detector fills and FP estimates, stage-latency quantiles).
+The session is what pipelines accept: it owns the metrics registry,
+tracks the instruments whose series are computed from live state
+(detector fills and FP estimates, stage-latency quantiles), and may
+carry a :class:`~repro.telemetry.requesttrace.SpanShardWriter` — the
+one span model, shared with the serve path — for pipeline spans.
 
 Collection is pull-based.  The session is a collector of its registry,
 so every read — ``registry.snapshot()``, ``to_prometheus()``,
@@ -20,9 +22,9 @@ runs them inline.  This matters beyond tidiness: the parallel engine
 answers a collect through the request rings its engine task writes,
 and those rings allow a single producer.
 
-``TelemetrySession.disabled()`` wires the null registry and null tracer
-together; pipelines hold that by default, so instrumented code paths
-run with single no-op calls instead of branches.
+``TelemetrySession.disabled()`` wires the null registry and no span
+writer; pipelines hold that by default, so instrumented code paths run
+with single no-op calls instead of branches.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .instruments import DetectorInstrument
 from .registry import MetricsRegistry, NullRegistry
-from .tracing import NullTracer, Tracer
+from .requesttrace import SpanShardWriter
 
 __all__ = ["TelemetrySession"]
 
@@ -85,16 +87,18 @@ def _wait_on_loop(loop: asyncio.AbstractEventLoop, work: Callable[[], None]) -> 
 
 
 class TelemetrySession:
-    """Bundle of registry + tracer + instruments + snapshot cadence."""
+    """Bundle of registry + instruments + span writer + snapshot cadence."""
 
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
+        spans: Optional[SpanShardWriter] = None,
         snapshot_every: int = 10_000,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
+        #: Where instrumented pipelines write their spans; ``None``
+        #: records none.  The caller owns and closes the writer.
+        self.spans = spans
         self.snapshot_every = max(1, int(snapshot_every))
         self._callbacks: List[Callable[[Dict[str, Any]], None]] = []
         self._since_snapshot = 0
@@ -110,7 +114,7 @@ class TelemetrySession:
     @classmethod
     def disabled(cls) -> "TelemetrySession":
         """A no-op session: every recording call is a dead method call."""
-        return cls(NullRegistry(), NullTracer())
+        return cls(NullRegistry())
 
     @property
     def enabled(self) -> bool:
@@ -210,12 +214,6 @@ class TelemetrySession:
                 finally:
                     self._cross_loop.release()
 
-    # -- crash-consistent state ----------------------------------------
-
     def state_dict(self) -> Dict[str, Any]:
-        # The registry collects first: a checkpoint journal carries the
-        # detector's counters *at the journaled offset*.
+        """Every series' exact value (the registry collects first)."""
         return self.registry.state_dict()
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        self.registry.load_state(state)

@@ -6,9 +6,9 @@ Four layers, one suite:
   negatives inside the guaranteed window, expiry beyond it) and their
   live estimated-FP gauges, which must equal the closed-form slice
   formula EXACTLY (same DP over measured fills);
-* the ``DetectorLifecycle`` surface (``as_lifecycle`` passthrough and
-  adapter) and ``spec()`` round-trips (``create_detector(d.spec())``
-  rebuilds a bit-identical detector);
+* the ``DetectorLifecycle`` surface the adaptive wrappers answer and
+  ``spec()`` round-trips (``create_detector(d.spec())`` rebuilds a
+  bit-identical detector);
 * the migrate-replay property: after ``migrate(new_spec)``, wrapper
   state is bit-identical to a fresh ``new_spec`` detector that replayed
   exactly the retained window (hypothesis-fuzzed);
@@ -34,9 +34,7 @@ from repro.detection import (
     APBFParams,
     DetectorLifecycle,
     DetectorSpec,
-    LifecycleAdapter,
     WindowSpec,
-    as_lifecycle,
     create_detector,
 )
 from repro.errors import ConfigurationError, StreamError
@@ -254,19 +252,7 @@ class TestLifecycleSurface:
         timed = AdaptiveDetector(TLBF_SPEC)
         assert isinstance(count, DetectorLifecycle)
         assert isinstance(timed, DetectorLifecycle)
-        assert as_lifecycle(count) is count
         assert not count.timed and timed.timed
-
-    def test_adapter_wraps_plain_detectors(self):
-        detector = create_detector(APBF_SPEC)
-        lifecycle = as_lifecycle(detector)
-        assert isinstance(lifecycle, LifecycleAdapter)
-        lifecycle.quiesce()
-        blob = lifecycle.checkpoint()
-        assert blob == save_detector(detector)
-        lifecycle.resume()
-        with pytest.raises(ConfigurationError):
-            lifecycle.migrate(APBF_SPEC)
 
     def test_factory_picks_time_model(self):
         # One wrapper class: the spec picks the time model, and a

@@ -1,5 +1,5 @@
 """Tests for detector checkpointing: bit-identical restore, corruption
-rejection, and custom-family refusal."""
+rejection, custom-family refusal, and the generational checkpoint store."""
 
 import random
 
@@ -7,15 +7,19 @@ import pytest
 
 from repro.core import (
     CheckpointError,
+    CheckpointStore,
     GBFDetector,
     TBFDetector,
     TBFJumpingDetector,
     TimeBasedGBFDetector,
     TimeBasedTBFDetector,
     load_detector,
+    pack_frame,
     save_detector,
 )
+from repro.errors import RecoveryError
 from repro.hashing import CarterWegmanFamily, HashFamily
+from repro.resilience import FaultInjector
 
 
 def _drive(detector, count, seed):
@@ -207,3 +211,60 @@ def test_zero_fn_survives_restart():
     detector = load_detector(save_detector(detector))  # simulated restart
     for _ in range(200):
         step(detector, rng.randrange(64))
+
+
+# ----------------------------------------------------------------------
+# CheckpointStore: atomic generations and the one reader
+# ----------------------------------------------------------------------
+
+def _frame(kind, value):
+    return pack_frame({"kind": kind, "value": value}, b"")
+
+
+def _value(header, _payload):
+    return header["value"]
+
+
+def test_store_prunes_to_keep_and_orders_generations(tmp_path):
+    store = CheckpointStore(tmp_path, keep=3)
+    for generation in range(7):
+        store.save(b"generation %d" % generation)
+    paths = store.paths()
+    assert len(paths) == 3
+    assert [p.read_bytes() for p in paths] == [
+        b"generation 4", b"generation 5", b"generation 6",
+    ]
+    # No temp files left behind by the atomic write protocol.
+    assert not list(tmp_path.glob(".ckpt-*"))
+
+
+def test_store_load_newest_first(tmp_path):
+    store = CheckpointStore(tmp_path, keep=2)
+    assert store.load("test", _value) is None  # empty store: a cold start
+    store.save(_frame("test", "old"))
+    store.save(_frame("test", "new"))
+    assert store.load("test", _value) == "new"
+
+
+def test_store_load_falls_back_past_unusable_generations(tmp_path):
+    store = CheckpointStore(tmp_path, keep=4)
+    store.save(_frame("test", "good"))
+    store.save(_frame("other-kind", "wrong kind"))
+    store.save(_frame("test", "refused"))
+    FaultInjector(seed=1).corrupt_file(store.save(_frame("test", "rotten")))
+
+    def parse(header, payload):
+        if header["value"] == "refused":
+            raise CheckpointError("parse refused this generation")
+        return header["value"]
+
+    assert store.load("test", parse) == "good"
+
+
+def test_store_load_without_a_usable_generation_raises(tmp_path):
+    store = CheckpointStore(tmp_path, keep=2)
+    injector = FaultInjector(seed=4)
+    injector.corrupt_file(store.save(_frame("test", "old")), "truncate")
+    injector.corrupt_file(store.save(_frame("test", "new")), "flip-byte")
+    with pytest.raises(RecoveryError, match="no usable 'test' checkpoint among 2"):
+        store.load("test", _value)

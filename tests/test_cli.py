@@ -13,6 +13,7 @@ import pytest
 
 import repro
 from repro.cli import _build_parser, _serve_config, main
+from repro.core import CheckpointStore
 from repro.errors import ProtocolError
 from repro.serve import ServeClient, ServeConfig
 
@@ -119,17 +120,23 @@ def test_time_based_algorithm_needs_duration(capsys):
         main(["serve", "--algorithm", "tbf", "--duration", "60"])
 
 
-def test_serve_time_based_refuses_a_batch_beyond_skew_tolerance():
+def _subprocess_env():
+    """This process's environment with the tested ``repro`` importable."""
     src = Path(repro.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    return env
+
+
+def test_serve_time_based_refuses_a_batch_beyond_skew_tolerance():
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--algorithm",
          "time-limited-bf", "--window", "4096", "--duration", "60",
          "--skew-tolerance", "0.5", "--port", "0"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=_subprocess_env(),
     )
     try:
         ready, _, _ = select.select([proc.stdout], [], [], 60.0)
@@ -155,3 +162,32 @@ def test_serve_time_based_refuses_a_batch_beyond_skew_tolerance():
             proc.communicate()
     assert proc.returncode == 0, err
     assert "drained: 200 clicks classified, 1 frames dead-lettered" in out
+
+
+def _assert_refuses_to_boot(*argv):
+    # A server that boots anyway serves until killed: the timeout turns
+    # that into a failure instead of a hang.
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=60,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, proc.stderr
+    assert "no usable 'serve' checkpoint" in errors[0]
+    assert "Traceback" not in proc.stderr
+
+
+def test_serve_refuses_a_store_with_no_usable_generation(tmp_path):
+    from tests.test_serve import rotten_store
+
+    store_dir = rotten_store(tmp_path / "ckpt")
+    _assert_refuses_to_boot("serve", "--port", "0", "--checkpoint-dir", str(store_dir))
+
+
+def test_cluster_run_refuses_a_node_store_with_no_usable_generation(tmp_path):
+    state = tmp_path / "state"
+    CheckpointStore(state / "node-1").save(b"rotten")
+    _assert_refuses_to_boot(
+        "cluster", "run", "--nodes", "2", "--port", "0", "--state-dir", str(state)
+    )

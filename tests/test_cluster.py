@@ -33,11 +33,10 @@ from repro.cluster import (
     split_batch_records,
     split_sharded,
 )
-from repro.core.checkpoint import unpack_frame
+from repro.core.checkpoint import CheckpointStore, unpack_frame
 from repro.detection import DetectorSpec, WindowSpec, create_detector
 from repro.detection.sharded import ShardedDetector, route_batch
 from repro.errors import ConfigurationError, ProtocolError
-from repro.resilience.supervisor import CheckpointStore
 from repro.serve import ServeClient
 from repro.serve.protocol import (
     FLAG_CHECKSUM,
@@ -98,15 +97,12 @@ def _read_frame(sock):
 
 def _newest_shard_blobs(directory):
     """Per-shard blobs from the newest serve checkpoint in ``directory``."""
-    for _path, blob in CheckpointStore(Path(directory), keep=4).blobs():
-        if blob is None:
-            continue
-        header, payload = unpack_frame(blob)
-        if header.get("kind") != _CHECKPOINT_KIND:
-            continue
-        _total, _timed, blobs = slice_shard_blobs(bytes(payload))
-        return blobs
-    raise AssertionError(f"no readable checkpoint under {directory}")
+    blobs = CheckpointStore(Path(directory), keep=4).load(
+        _CHECKPOINT_KIND,
+        lambda _header, payload: slice_shard_blobs(bytes(payload))[2],
+    )
+    assert blobs is not None, f"no checkpoint under {directory}"
+    return blobs
 
 
 # ----------------------------------------------------------------------

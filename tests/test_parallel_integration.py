@@ -1,7 +1,6 @@
 """Integration tests: the parallel engine composed with the rest of the
-stack — ``DetectionPipeline.run_batch(workers=N)``, ``SupervisedPipeline``
-journaling a fleet manifest, the ``detect --workers`` CLI, and the
-``read_batches`` stream reader that feeds them.
+stack — ``DetectionPipeline.run_batch(workers=N)``, the ``detect
+--workers`` CLI, and the ``read_batches`` stream reader that feeds them.
 """
 
 import random
@@ -13,7 +12,6 @@ from repro.core.checkpoint import save_detector
 from repro.detection import DetectionPipeline
 from repro.errors import ConfigurationError, StreamError
 from repro.parallel import ParallelShardedDetector
-from repro.resilience import CheckpointStore, FaultInjector, InjectedCrash, SupervisedPipeline
 from repro.streams import load_clicks, read_batches, write_clicks_csv, write_clicks_jsonl
 
 from tests.fleets import tbf_fleet
@@ -126,74 +124,6 @@ class TestPipelineWorkers:
             engine.observe_batch(np.arange(10, dtype=np.uint64))
         finally:
             engine.close()
-
-
-# ----------------------------------------------------------------------
-# SupervisedPipeline over a parallel fleet
-# ----------------------------------------------------------------------
-
-def make_fleet():
-    return ParallelShardedDetector(tbf_fleet(64, 2, 2048, 4, seed=3))
-
-
-class TestSupervisedFleet:
-    def test_crash_resume_bit_identical(self, tmp_path):
-        clicks = make_stream(180)
-
-        baseline_fleet = make_fleet()
-        try:
-            baseline = SupervisedPipeline(
-                DetectionPipeline(baseline_fleet, billing=make_billing()),
-                CheckpointStore(tmp_path / "base"),
-                checkpoint_every=20, record_verdicts=True,
-            ).run(clicks)
-        finally:
-            baseline_fleet.close()
-
-        store = CheckpointStore(tmp_path / "crash")
-        crashing_fleet = make_fleet()
-        supervisor = SupervisedPipeline(
-            DetectionPipeline(crashing_fleet, billing=make_billing()), store,
-            checkpoint_every=20, record_verdicts=True,
-        )
-        with pytest.raises(InjectedCrash):
-            supervisor.run(FaultInjector().crash_stream(clicks, 90))
-        crashing_fleet.close()
-
-        resume_fleet = make_fleet()
-        resumer = SupervisedPipeline(
-            DetectionPipeline(resume_fleet, billing=make_billing()), store,
-            checkpoint_every=20, record_verdicts=True,
-        )
-        resumed = resumer.run(clicks)
-        try:
-            assert resumed.resumed
-            assert resumed.start_offset > 0
-            # The journaled manifest respawned a fleet mid-stream and its
-            # verdicts continue bit-identically.
-            assert resumed.verdicts == baseline.verdicts[resumed.start_offset:]
-            assert resumed.billing_summary == baseline.billing_summary
-            assert isinstance(resumer.pipeline.detector, ParallelShardedDetector)
-        finally:
-            resumer.pipeline.detector.close()
-            resume_fleet.close()
-
-    def test_checkpoint_quiesces_fleet(self, tmp_path):
-        # The supervisor's pre-save quiesce hook must leave the rings
-        # empty, so the manifest cannot race an in-flight batch.
-        fleet = make_fleet()
-        try:
-            supervisor = SupervisedPipeline(
-                DetectionPipeline(fleet, billing=make_billing()),
-                CheckpointStore(tmp_path / "q"),
-                checkpoint_every=25,
-            )
-            result = supervisor.run(make_stream(120))
-            assert result.checkpoints_written > 0
-            for state in fleet._workers:
-                assert state.outstanding == 0
-        finally:
-            fleet.close()
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,9 @@
-"""Tests for the resilience subsystem: supervised checkpoint/resume,
-corrupt-checkpoint fallback, fault injection, and input hardening."""
+"""Tests for the resilience package: fault injection and input
+hardening (dead letters from the stream readers).
+
+``make_billing`` and ``make_stream`` are shared fixtures: other suites
+import them from here.
+"""
 
 import random
 
@@ -7,29 +11,15 @@ import pytest
 
 from repro.adnet.billing import BillingEngine
 from repro.adnet.entities import AdLink, Advertiser, Publisher, Registry
-from repro.core import (
-    GBFDetector,
-    TBFDetector,
-    TBFJumpingDetector,
-    TimeBasedGBFDetector,
-    TimeBasedTBFDetector,
-)
-from repro.detection import DetectionPipeline
-from repro.errors import CheckpointError, RecoveryError, StreamError
-from repro.resilience import (
-    CheckpointStore,
-    DeadLetterSink,
-    FaultInjector,
-    InjectedCrash,
-    ReorderBuffer,
-    SupervisedPipeline,
-)
+from repro.core import TBFDetector
+from repro.errors import CheckpointError, StreamError
+from repro.resilience import DeadLetterSink, FaultInjector
 from repro.streams.click import Click, TrafficClass
 from repro.streams.io import read_clicks_jsonl, write_clicks_jsonl
 
 
 # ----------------------------------------------------------------------
-# Fixtures: a small ad network, a deterministic stream, the 5 detectors
+# Fixtures: a small ad network and a deterministic stream
 # ----------------------------------------------------------------------
 
 def make_billing():
@@ -69,153 +59,6 @@ def make_stream(count=180, seed=11):
     return clicks
 
 
-DETECTOR_VARIANTS = [
-    ("gbf", lambda: GBFDetector(64, 8, 1024, 4, seed=3)),
-    ("tbf", lambda: TBFDetector(64, 2048, 4, seed=3)),
-    ("tbf-jumping", lambda: TBFJumpingDetector(64, 8, 2048, 4, seed=3)),
-    (
-        "gbf-time",
-        lambda: TimeBasedGBFDetector(
-            24.0, 4, 1024, 4, units_per_subwindow=4, seed=3
-        ),
-    ),
-    ("tbf-time", lambda: TimeBasedTBFDetector(24.0, 8, 2048, 4, seed=3)),
-]
-
-
-def make_supervisor(store, factory, checkpoint_every=20, **kwargs):
-    pipeline = DetectionPipeline(factory(), billing=make_billing())
-    return SupervisedPipeline(
-        pipeline, store, checkpoint_every=checkpoint_every,
-        record_verdicts=True, **kwargs,
-    )
-
-
-# ----------------------------------------------------------------------
-# The tentpole invariant: kill at every Kth click, resume, get the exact
-# verdicts and billing of an uninterrupted run — for all five variants.
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("name,factory", DETECTOR_VARIANTS)
-def test_crash_resume_bit_identical(name, factory, tmp_path):
-    clicks = make_stream()
-    baseline = make_supervisor(tmp_path / "base", factory).run(clicks)
-    assert baseline.processed == len(clicks)
-    assert baseline.checkpoints_written >= len(clicks) // 20
-
-    injector = FaultInjector(seed=5)
-    kill_every = 30
-    for crash_at in range(kill_every, len(clicks), kill_every):
-        store = CheckpointStore(tmp_path / f"crash-{crash_at}")
-        with pytest.raises(InjectedCrash):
-            make_supervisor(store, factory).run(
-                injector.crash_stream(clicks, crash_at)
-            )
-        resumed = make_supervisor(store, factory).run(clicks)
-        assert resumed.resumed
-        assert resumed.start_offset > 0
-        # Verdicts from the resume point on are bit-identical ...
-        assert resumed.verdicts == baseline.verdicts[resumed.start_offset:]
-        # ... and totals equal the uninterrupted run: nothing was
-        # double-charged, no accepted click was un-flagged.
-        assert resumed.billing_summary == baseline.billing_summary
-        assert (resumed.processed, resumed.valid, resumed.duplicates,
-                resumed.budget_exhausted) == (
-            baseline.processed, baseline.valid, baseline.duplicates,
-            baseline.budget_exhausted)
-        board = resumed.scoreboard
-        base_board = baseline.scoreboard
-        assert board.by_source == base_board.by_source
-        assert board.by_publisher == base_board.by_publisher
-
-
-@pytest.mark.parametrize("mode", ["flip-byte", "truncate", "zero-prefix"])
-@pytest.mark.parametrize("name,factory", DETECTOR_VARIANTS[:2])
-def test_corrupt_latest_checkpoint_falls_back(name, factory, mode, tmp_path):
-    clicks = make_stream()
-    baseline = make_supervisor(tmp_path / "base", factory).run(clicks)
-
-    injector = FaultInjector(seed=7)
-    store = CheckpointStore(tmp_path / "crash")
-    with pytest.raises(InjectedCrash):
-        make_supervisor(store, factory).run(injector.crash_stream(clicks, 150))
-    assert len(store.paths()) == 2  # keep=2 generations on disk
-
-    injector.corrupt_file(store.latest, mode)
-    resumed = make_supervisor(store, factory).run(clicks)
-    assert resumed.resumed
-    assert resumed.fallbacks == 1  # the rotten generation was skipped
-    assert resumed.start_offset == 120  # previous good generation, not a reset
-    assert resumed.verdicts == baseline.verdicts[120:]
-    assert resumed.billing_summary == baseline.billing_summary
-
-
-def test_all_checkpoints_corrupt_raises_recovery_error(tmp_path):
-    clicks = make_stream()
-    store = CheckpointStore(tmp_path / "store")
-    injector = FaultInjector(seed=9)
-    with pytest.raises(InjectedCrash):
-        make_supervisor(store, lambda: TBFDetector(64, 2048, 4, seed=3)).run(
-            injector.crash_stream(clicks, 100)
-        )
-    for path in store.paths():
-        injector.corrupt_file(path, "flip-byte")
-    with pytest.raises(RecoveryError):
-        make_supervisor(store, lambda: TBFDetector(64, 2048, 4, seed=3)).run(clicks)
-
-
-def test_scheme_mismatch_is_unrecoverable(tmp_path):
-    from repro.streams.click import IdentifierScheme
-
-    clicks = make_stream()
-    store = CheckpointStore(tmp_path / "store")
-    make_supervisor(store, lambda: TBFDetector(64, 2048, 4, seed=3)).run(clicks)
-    pipeline = DetectionPipeline(
-        TBFDetector(64, 2048, 4, seed=3),
-        billing=make_billing(),
-        scheme=IdentifierScheme.IP,
-    )
-    with pytest.raises(RecoveryError, match="scheme"):
-        SupervisedPipeline(pipeline, store).run(clicks)
-
-
-def test_resume_skips_work_already_done(tmp_path):
-    clicks = make_stream()
-    store = CheckpointStore(tmp_path / "store")
-    make_supervisor(store, lambda: TBFDetector(64, 2048, 4, seed=3)).run(clicks)
-    again = make_supervisor(store, lambda: TBFDetector(64, 2048, 4, seed=3)).run(clicks)
-    assert again.resumed
-    assert again.start_offset == len(clicks)
-    assert again.verdicts == []  # nothing re-processed, totals intact
-    assert again.processed == len(clicks)
-
-
-# ----------------------------------------------------------------------
-# CheckpointStore mechanics
-# ----------------------------------------------------------------------
-
-def test_store_prunes_to_keep_and_orders_generations(tmp_path):
-    store = CheckpointStore(tmp_path, keep=3)
-    for generation in range(7):
-        store.save(b"generation %d" % generation)
-    paths = store.paths()
-    assert len(paths) == 3
-    assert [p.read_bytes() for p in paths] == [
-        b"generation 4", b"generation 5", b"generation 6",
-    ]
-    assert store.latest == paths[-1]
-    # No temp files left behind by the atomic write protocol.
-    assert not list(tmp_path.glob(".ckpt-*"))
-
-
-def test_store_blobs_newest_first(tmp_path):
-    store = CheckpointStore(tmp_path, keep=2)
-    store.save(b"old")
-    store.save(b"new")
-    blobs = [blob for _, blob in store.blobs()]
-    assert blobs == [b"new", b"old"]
-
-
 # ----------------------------------------------------------------------
 # Fault injector: deterministic, and the faults do what they claim
 # ----------------------------------------------------------------------
@@ -229,23 +72,6 @@ def test_injector_is_deterministic():
     other = FaultInjector(seed=4)
     assert other.corrupt(blob, "flip-byte") != a.corrupt(blob, "flip-byte")
 
-    clicks = make_stream(60)
-    order_a = [c.timestamp for c in a.reorder_stream(clicks, 5)]
-    order_b = [c.timestamp for c in b.reorder_stream(clicks, 5)]
-    assert order_a == order_b
-    assert sorted(order_a) == [c.timestamp for c in clicks]
-    assert order_a != [c.timestamp for c in clicks]  # it actually scrambled
-
-
-def test_crash_stream_delivers_exactly_n_clicks():
-    clicks = make_stream(50)
-    injector = FaultInjector(seed=1)
-    seen = []
-    with pytest.raises(InjectedCrash):
-        for click in injector.crash_stream(clicks, 17):
-            seen.append(click)
-    assert seen == clicks[:17]
-
 
 def test_corrupted_blob_never_loads(tmp_path):
     from repro.core import save_detector, load_detector
@@ -255,130 +81,6 @@ def test_corrupted_blob_never_loads(tmp_path):
     for mode in ("flip-byte", "truncate", "zero-prefix"):
         with pytest.raises(CheckpointError):
             load_detector(injector.corrupt(blob, mode))
-
-
-def test_delay_stream_holds_clicks_back():
-    clicks = make_stream(80)
-    injector = FaultInjector(seed=6)
-    delayed = list(injector.delay_stream(clicks, hold_back=4, probability=0.2))
-    assert sorted(c.timestamp for c in delayed) == [c.timestamp for c in clicks]
-    assert [c.timestamp for c in delayed] != [c.timestamp for c in clicks]
-
-
-# ----------------------------------------------------------------------
-# Input hardening: reorder buffer and dead letters
-# ----------------------------------------------------------------------
-
-def test_reorder_buffer_repairs_bounded_displacement():
-    clicks = make_stream(120)
-    scrambled = list(FaultInjector(seed=8).reorder_stream(clicks, 6))
-    buffer = ReorderBuffer(capacity=8)
-    restored = []
-    for click in scrambled:
-        restored.extend(buffer.push(click))
-    restored.extend(buffer.flush())
-    assert [c.timestamp for c in restored] == [c.timestamp for c in clicks]
-    assert buffer.stats.reordered > 0
-    assert buffer.stats.dropped == 0
-
-
-def test_reorder_buffer_clamps_within_tolerance_and_drops_beyond():
-    sink = DeadLetterSink()
-    buffer = ReorderBuffer(capacity=1, skew_tolerance=0.5, dead_letters=sink)
-    emitted = []
-
-    def push(timestamp):
-        emitted.extend(buffer.push(Click(timestamp, 1, 1, 0, 0, 0)))
-
-    for timestamp in (10.0, 11.0, 12.0, 10.7, 3.0, 13.0):
-        push(timestamp)
-    emitted.extend(buffer.flush())
-    stamps = [c.timestamp for c in emitted]
-    assert stamps == sorted(stamps)  # monotonic: safe for time-based detectors
-    assert buffer.stats.clamped == 1  # 10.7 lifted to 11.0
-    assert stamps.count(11.0) == 2
-    assert buffer.stats.dropped == 1  # 3.0 is hopeless
-    assert sink.counts == {"late": 1}
-
-
-def test_time_detector_survives_scrambled_stream_via_supervisor(tmp_path):
-    clicks = make_stream(120)
-    scrambled = list(FaultInjector(seed=8).reorder_stream(clicks, 6))
-
-    # Unhardened: a single regressed timestamp kills the run.
-    bare = DetectionPipeline(TimeBasedTBFDetector(24.0, 8, 2048, 4, seed=3))
-    with pytest.raises(StreamError):
-        bare.run(scrambled)
-
-    # Hardened: the supervisor's reorder buffer repairs it, and the
-    # verdict stream equals the in-order run's.
-    in_order = make_supervisor(
-        tmp_path / "base", lambda: TimeBasedTBFDetector(24.0, 8, 2048, 4, seed=3)
-    ).run(clicks)
-    hardened = make_supervisor(
-        tmp_path / "hard",
-        lambda: TimeBasedTBFDetector(24.0, 8, 2048, 4, seed=3),
-        reorder_capacity=8,
-    ).run(scrambled)
-    assert hardened.processed == len(clicks)
-    assert sorted(map(bool, hardened.verdicts)) == sorted(map(bool, in_order.verdicts))
-    assert hardened.reordered > 0
-
-
-def test_crash_resume_with_pending_reorder_buffer(tmp_path):
-    clicks = make_stream(150)
-    scrambled = list(FaultInjector(seed=8).reorder_stream(clicks, 4))
-    factory = lambda: TimeBasedTBFDetector(24.0, 8, 2048, 4, seed=3)
-
-    baseline = make_supervisor(
-        tmp_path / "base", factory, reorder_capacity=6
-    ).run(scrambled)
-
-    store = CheckpointStore(tmp_path / "crash")
-    injector = FaultInjector(seed=5)
-    with pytest.raises(InjectedCrash):
-        make_supervisor(store, factory, reorder_capacity=6).run(
-            injector.crash_stream(scrambled, 97)
-        )
-    resumed = make_supervisor(store, factory, reorder_capacity=6).run(scrambled)
-    assert resumed.resumed
-    # The checkpoint carried the buffered clicks: totals match exactly.
-    assert resumed.billing_summary == baseline.billing_summary
-    assert (resumed.processed, resumed.valid, resumed.duplicates) == (
-        baseline.processed, baseline.valid, baseline.duplicates)
-
-
-def test_pending_buffer_without_reorder_capacity_is_unrecoverable(tmp_path):
-    clicks = make_stream(150)
-    factory = lambda: TBFDetector(64, 2048, 4, seed=3)
-    store = CheckpointStore(tmp_path / "store")
-    injector = FaultInjector(seed=5)
-    with pytest.raises(InjectedCrash):
-        make_supervisor(store, factory, reorder_capacity=6).run(
-            injector.crash_stream(clicks, 97)
-        )
-    with pytest.raises(RecoveryError, match="reorder"):
-        make_supervisor(store, factory).run(clicks)
-
-
-def test_dead_letter_sink_quarantines_invalid_clicks(tmp_path):
-    clicks = make_stream(60)
-    clicks[10] = Click(float("nan"), 1, 1, 0, 0, 0)
-    clicks[20] = "not a click"
-    clicks[30] = Click(5.0, 1, 1, 0, 0, 0, cost=-1.0)
-    sink = DeadLetterSink()
-    supervisor = make_supervisor(
-        tmp_path / "store",
-        lambda: TBFDetector(64, 2048, 4, seed=3),
-        dead_letters=sink,
-    )
-    result = supervisor.run(clicks)
-    assert result.processed == 57
-    assert result.quarantined == 3
-    assert sink.counts == {
-        "bad-timestamp": 1, "not-a-click": 1, "negative-cost": 1,
-    }
-    assert len(sink.samples) == 3
 
 
 def test_dead_letter_sink_sample_bound():

@@ -15,8 +15,13 @@ import pytest
 
 from repro.detection import DetectorSpec, WindowSpec, create_detector
 from repro.detection.pipeline import DetectionPipeline
-from repro.errors import ConfigurationError, OverloadedError, ProtocolError
-from repro.resilience import DeadLetterSink
+from repro.errors import (
+    ConfigurationError,
+    OverloadedError,
+    ProtocolError,
+    RecoveryError,
+)
+from repro.resilience import CORRUPTION_MODES, DeadLetterSink, FaultInjector
 from repro.serve import Coalescer, ServeClient, ServeConfig, ServerThread
 from repro.serve.protocol import (
     FRAME_BATCH,
@@ -642,7 +647,8 @@ class TestDrainAndCheckpoint:
         assert not thread.server.frontend.sessions
         assert "CancelledError" not in caplog.text
 
-    def test_corrupt_latest_checkpoint_falls_back(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["torn-write", *CORRUPTION_MODES])
+    def test_corrupt_latest_checkpoint_falls_back(self, tmp_path, damage):
         identifiers, _ = _stream(count=4_000)
         config = ServeConfig(checkpoint_dir=tmp_path / "ckpt")
         thread = ServerThread(create_detector(TBF_SPEC), config).start()
@@ -652,14 +658,49 @@ class TestDrainAndCheckpoint:
         finally:
             thread.stop()
         store_dir = tmp_path / "ckpt"
-        good = sorted(store_dir.glob("ckpt-*.rpk"))[-1]
-        corrupt = store_dir / "ckpt-99999999.rpk"
-        corrupt.write_bytes(good.read_bytes()[:-7])   # torn write
+        good = (store_dir / "ckpt-00000001.rpk").read_bytes()
+        rotten = (
+            good[:-7]
+            if damage == "torn-write"
+            else FaultInjector(seed=3).corrupt(good, damage)
+        )
+        # A newer generation that rotted on disk.
+        (store_dir / "ckpt-00000002.rpk").write_bytes(rotten)
         thread = ServerThread(create_detector(TBF_SPEC), config).start()
         try:
             assert thread.server.processed_clicks == 4_000
         finally:
             thread.stop()
+
+    def test_all_rotten_generations_refuse_to_boot(self, tmp_path):
+        store_dir = rotten_store(tmp_path / "ckpt")
+        before = {path: path.read_bytes() for path in store_dir.iterdir()}
+        thread = ServerThread(
+            create_detector(TBF_SPEC), ServeConfig(checkpoint_dir=store_dir)
+        )
+        with pytest.raises(RecoveryError, match="no usable 'serve' checkpoint"):
+            thread.start()
+        # Nothing was served, so nothing was written over the evidence.
+        assert {path: path.read_bytes() for path in store_dir.iterdir()} == before
+
+
+def rotten_store(store_dir):
+    """A serve checkpoint store whose two generations are both rotten.
+
+    Two drains of a TBF server, 2,000 distinct clicks each, write two
+    generations; one flipped byte in each leaves neither usable.
+    """
+    identifiers = np.arange(4_000, dtype=np.uint64)
+    config = ServeConfig(checkpoint_dir=store_dir)
+    for half in np.array_split(identifiers, 2):
+        with ServerThread(create_detector(TBF_SPEC), config) as thread:
+            with ServeClient("127.0.0.1", thread.port) as client:
+                client.send(half)
+    generations = sorted(store_dir.glob("ckpt-*.rpk"))
+    assert len(generations) == 2
+    for path in generations:
+        FaultInjector(seed=7).corrupt_file(path, "flip-byte")
+    return store_dir
 
 
 def _recv_exactly(sock, count):

@@ -6,9 +6,8 @@ import random
 import pytest
 
 from repro.core import CheckpointError, load_detector, save_detector
-from repro.detection import DetectionPipeline, FailoverPolicy, ShardedDetector
+from repro.detection import FailoverPolicy, ShardedDetector
 from repro.errors import ConfigurationError
-from repro.resilience import SupervisedPipeline
 from tests.fleets import tbf_fleet, timed_tbf_fleet
 
 
@@ -136,21 +135,6 @@ def test_custom_router_refused_for_whole_detector_checkpoint():
         save_detector(detector)
     # Per-shard checkpoints still work — that is the escape hatch.
     load_detector(detector.checkpoint_shard(0))
-
-
-def test_supervised_pipeline_surfaces_degraded_window(tmp_path):
-    from tests.test_resilience import make_billing, make_stream
-
-    detector = tbf_fleet(64, 4, 4096, seed=1)
-    detector.fail_shard(1, FailoverPolicy.FAIL_CLOSED)
-    pipeline = DetectionPipeline(detector, billing=make_billing())
-    supervisor = SupervisedPipeline(pipeline, tmp_path, checkpoint_every=50)
-    result = supervisor.run(make_stream(120))
-    assert 1 in result.degraded
-    assert result.degraded[1]["policy"] == "fail-closed"
-    assert result.degraded[1]["clicks"] > 0
-    # Fail-closed means those clicks were rejected, not billed.
-    assert result.duplicates >= result.degraded[1]["clicks"]
 
 
 # ----------------------------------------------------------------------

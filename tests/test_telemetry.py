@@ -1,7 +1,7 @@
-"""Unit tests for the telemetry substrate: registry, tracing, session.
+"""Unit tests for the telemetry substrate: registry and session.
 
 Covers the three registry design constraints (hot-path recording,
-no-op twins, crash-consistent state) plus the Prometheus text
+no-op twins, exact reads) plus the Prometheus text
 exposition — including the line-format lint the CI observability job
 runs, so a malformed sample line fails before a scraper ever sees it.
 """
@@ -16,15 +16,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.core import GBFDetector
-from repro.telemetry import (
-    MetricsRegistry,
-    NullRegistry,
-    NullTracer,
-    TelemetrySession,
-    Tracer,
-)
+from repro.telemetry import MetricsRegistry, NullRegistry, TelemetrySession
 from repro.telemetry.registry import DEFAULT_BUCKETS, format_value
-from repro.telemetry.tracing import NULL_SPAN
 
 
 class TestCounter:
@@ -201,40 +194,11 @@ class TestStateRoundTrip:
     def test_bit_identical_through_json(self):
         registry = _populated_registry()
         state = registry.state_dict()
-        # The journal goes through JSON inside checkpoint frames.
-        wire = json.loads(json.dumps(state))
-
-        restored = _restored_like(registry, wire)
-        assert restored.state_dict() == state
-        assert restored.to_prometheus() == registry.to_prometheus()
-
-    def test_load_before_register_is_parked(self):
-        state = _populated_registry().state_dict()
-        registry = MetricsRegistry()
-        registry.load_state(state)
-        # Nothing registered yet: snapshot is empty, state is pending.
-        assert registry.snapshot()["counters"] == []
-        counter = registry.counter("repro_clicks_total", "Clicks")
-        assert counter._default().value == 42
-
-    def test_unknown_series_are_kept_pending_not_dropped(self):
-        registry = MetricsRegistry()
-        registry.load_state({"counters": {"later_total": 7}})
-        registry.counter("later_total").inc(0)  # force child creation
-        assert registry.counter("later_total")._default().value == 7
-
-
-def _restored_like(registry: MetricsRegistry, state) -> MetricsRegistry:
-    """A fresh registry with the same families, loaded from ``state``."""
-    restored = MetricsRegistry()
-    restored.load_state(state)
-    for family in registry.families():
-        method = getattr(restored, family.kind)
-        kwargs = dict(family._metric_kwargs)  # histogram bucket layout
-        fresh = method(family.name, family.help, labels=family.label_names, **kwargs)
-        for key, _ in family.children():
-            fresh.labels(**dict(zip(family.label_names, key)))
-    return restored
+        # Raw values, not formatted samples: a JSON round trip gives
+        # back exactly the same state.
+        assert json.loads(json.dumps(state)) == state
+        assert state["counters"]["repro_clicks_total"] == 42
+        assert registry.state_dict() == state  # reads do not perturb it
 
 
 class TestNullRegistry:
@@ -251,64 +215,6 @@ class TestNullRegistry:
         }
         assert registry.to_prometheus() == ""
         assert registry.state_dict() == {}
-        registry.load_state({"counters": {"x_total": 3}})  # no-op
-
-
-class TestTracer:
-    def test_span_timing_and_attributes(self):
-        tracer = Tracer()
-        with tracer.span("phase", size=10) as span:
-            span.annotate(extra=1)
-        spans = tracer.spans()
-        assert len(spans) == 1
-        assert spans[0].name == "phase"
-        assert spans[0].duration >= 0.0
-        assert spans[0].attributes == {"size": 10, "extra": 1}
-
-    def test_nesting_records_parent(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
-        by_name = {span.name: span for span in tracer.spans()}
-        assert by_name["inner"].parent == "outer"
-        assert by_name["outer"].parent is None
-
-    def test_exception_annotated_and_propagated(self):
-        tracer = Tracer()
-        with pytest.raises(ValueError):
-            with tracer.span("failing"):
-                raise ValueError("boom")
-        assert tracer.spans()[0].attributes["error"] == "ValueError"
-
-    def test_ring_drops_oldest(self):
-        tracer = Tracer(max_spans=2)
-        for index in range(4):
-            with tracer.span(f"s{index}"):
-                pass
-        assert [span.name for span in tracer.spans()] == ["s2", "s3"]
-        assert tracer.dropped == 2
-
-    def test_chrome_trace_export(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            with tracer.span("inner", size=3):
-                pass
-        events = json.loads(tracer.to_json())["traceEvents"]
-        assert {event["name"] for event in events} == {"outer", "inner"}
-        inner = next(event for event in events if event["name"] == "inner")
-        assert inner["ph"] == "X"
-        assert inner["args"] == {"size": 3, "parent": "outer"}
-        assert inner["dur"] >= 0.0
-
-    def test_null_tracer(self):
-        tracer = NullTracer()
-        span = tracer.span("anything", key="value")
-        assert span is NULL_SPAN
-        with span:
-            span.annotate(ignored=True)
-        assert tracer.spans() == []
-        assert json.loads(tracer.to_json()) == {"traceEvents": []}
 
 
 class TestSession:

@@ -1,4 +1,4 @@
-"""Integration tests for detector/pipeline/supervisor instrumentation.
+"""Integration tests for detector, pipeline and serve instrumentation.
 
 The tentpole invariants:
 
@@ -8,9 +8,9 @@ The tentpole invariants:
 * the ``duplicates`` total survives checkpoint save/load for every
   variant;
 * instrument counters are delta-incremented, so collect() twice and a
-  checkpoint restore never double-count;
-* a supervised crash + resume leaves the telemetry counters exactly
-  where an uninterrupted run would (the journal is bit-identical).
+  detector swap never double-count;
+* an instrumented pipeline writes its chunk spans to the session's
+  span shard, the serve path's one span model.
 """
 
 import json
@@ -33,21 +33,16 @@ from repro.core import (
     save_detector,
 )
 from repro.cluster import LocalCluster
-from repro.core.checkpoint import unpack_frame
 from repro.detection import DetectionPipeline, DetectorSpec, WindowSpec, create_detector
 from repro.detection.sharded import FailoverPolicy
-from repro.resilience import (
-    CheckpointStore,
-    FaultInjector,
-    InjectedCrash,
-    SupervisedPipeline,
-)
 from repro.serve import ServeClient, ServeConfig, ServerThread
 from repro.streams.click import Click
 from repro.telemetry import (
     DetectorInstrument,
     MetricsRegistry,
+    SpanShardWriter,
     TelemetrySession,
+    merge_shards,
     theoretical_fp_bound,
 )
 from tests.fleets import tbf_fleet
@@ -157,8 +152,7 @@ class TestDuplicatesPersistence:
         assert restored.duplicates == detector.duplicates
         # observed_duplicate_rate intentionally resets: the operation counter
         # is measurement state, not sketch state, and checkpoints only carry
-        # the sketch.  Continuity of rates across restarts comes from the
-        # journaled registry, exercised in TestSupervisedTelemetry.
+        # the sketch.
 
 
 class TestDetectorInstrument:
@@ -291,137 +285,28 @@ class TestPipelineTelemetry:
             totals.append(pipeline_series(session.registry))
         assert totals[0] == totals[1]
 
-    def test_spans_cover_batch_chunks(self):
-        session = TelemetrySession()
-        pipeline = DetectionPipeline(
-            TBFDetector(64, 2048, 4, seed=3), telemetry=session
-        )
-        pipeline.run_batch(make_clicks(130), chunk_size=50)
+    def test_spans_cover_batch_chunks(self, tmp_path):
+        with SpanShardWriter(tmp_path, "pipeline") as spans:
+            session = TelemetrySession(spans=spans)
+            pipeline = DetectionPipeline(
+                TBFDetector(64, 2048, 4, seed=3), telemetry=session
+            )
+            pipeline.run_batch(make_clicks(130), chunk_size=50)
         chunk_spans = [
-            span for span in session.tracer.spans()
-            if span.name == "pipeline.run_batch.chunk"
+            event for event in merge_shards(tmp_path)["traceEvents"]
+            if event["name"] == "pipeline.run_batch.chunk"
         ]
-        assert [span.attributes["size"] for span in chunk_spans] == [50, 50, 30]
+        assert [span["args"]["size"] for span in chunk_spans] == [50, 50, 30]
+        # One run is one trace.
+        assert len({span["args"]["trace_id"] for span in chunk_spans}) == 1
 
     def test_disabled_pipeline_records_nothing(self):
         pipeline = DetectionPipeline(TBFDetector(64, 2048, 4, seed=3))
         pipeline.run(make_clicks(50))
+        pipeline.run_batch(make_clicks(50), chunk_size=20)
         assert pipeline.telemetry.enabled is False
         assert pipeline.telemetry.registry.to_prometheus() == ""
-        assert pipeline.telemetry.tracer.spans() == []
-
-
-def make_supervised(store_dir, snapshot_every=10, checkpoint_every=20):
-    session = TelemetrySession(snapshot_every=snapshot_every)
-    pipeline = DetectionPipeline(
-        GBFDetector(64, 8, 1024, 4, seed=3), telemetry=session
-    )
-    supervisor = SupervisedPipeline(
-        pipeline, CheckpointStore(store_dir), checkpoint_every=checkpoint_every
-    )
-    return session, supervisor
-
-
-class TestSupervisedTelemetry:
-    def test_checkpoint_journals_registry_state(self, tmp_path):
-        session, supervisor = make_supervised(tmp_path / "store")
-        supervisor.run(make_clicks(100))
-        header, _ = unpack_frame(supervisor.store.latest.read_bytes())
-        journaled = header["telemetry"]
-        # Bit-identical: the journal IS the registry state at write time.
-        assert journaled["counters"]["repro_pipeline_clicks_total"] == 100
-        fresh = MetricsRegistry()
-        fresh.load_state(json.loads(json.dumps(journaled)))
-        fresh.counter("repro_pipeline_clicks_total")._default()
-        assert (
-            fresh.state_dict()["counters"]["repro_pipeline_clicks_total"] == 100
-        )
-        # The journal is captured before the write is acknowledged, so the
-        # self-referential written-counter is one behind the live registry;
-        # everything else matches bit-for-bit.
-        live = dict(session.registry.state_dict()["counters"])
-        snap = dict(journaled["counters"])
-        assert live.pop("repro_checkpoints_written_total") == (
-            snap.pop("repro_checkpoints_written_total") + 1
-        )
-        assert live == snap
-
-    def test_journal_is_current_when_cadence_misaligns(self, tmp_path):
-        # snapshot_every=7 never lands on a checkpoint offset, so a journal
-        # that only carried the last periodic collect would be stale by up
-        # to 6 clicks.  state_dict() must refresh instruments at write time.
-        session, supervisor = make_supervised(tmp_path / "store", snapshot_every=7)
-        supervisor.run(make_clicks(100))
-        header, _ = unpack_frame(supervisor.store.latest.read_bytes())
-        journaled = header["telemetry"]["counters"]
-        assert journaled[
-            "repro_detector_events_total{detector=GBFDetector,key=elements}"
-        ] == journaled["repro_pipeline_clicks_total"] == 100
-
-    def test_disabled_telemetry_keeps_headers_clean(self, tmp_path):
-        pipeline = DetectionPipeline(GBFDetector(64, 8, 1024, 4, seed=3))
-        supervisor = SupervisedPipeline(
-            pipeline, CheckpointStore(tmp_path / "store"), checkpoint_every=20
-        )
-        supervisor.run(make_clicks(60))
-        header, _ = unpack_frame(supervisor.store.latest.read_bytes())
-        assert "telemetry" not in header
-
-    def test_crash_resume_counters_match_uninterrupted_run(self, tmp_path):
-        clicks = make_clicks(200)
-
-        baseline_session, baseline = make_supervised(tmp_path / "base")
-        baseline.run(clicks)
-
-        crashed_session, crashed = make_supervised(tmp_path / "crash")
-        injector = FaultInjector(seed=5)
-        with pytest.raises(InjectedCrash):
-            crashed.run(injector.crash_stream(clicks, 50))
-
-        # Fresh process: new session, pipeline, supervisor on the store.
-        resumed_session, resumed = make_supervised(tmp_path / "crash")
-        result = resumed.run(clicks)
-
-        # `processed` is cumulative across the restore (journaled totals),
-        # so the resumed run reports the full stream.
-        assert result.processed == len(clicks)
-        assert result.start_offset > 0
-        assert pipeline_series(resumed_session.registry) == pipeline_series(
-            baseline_session.registry
-        )
-        # Restore latency was observed without perturbing the counters.
-        histograms = resumed_session.registry.state_dict()["histograms"]
-        assert histograms["repro_checkpoint_restore_seconds"]["count"] >= 1
-        assert histograms["repro_checkpoint_write_seconds"]["count"] >= 1
-
-    def test_dead_letters_counted_by_reason(self, tmp_path):
-        session, supervisor = make_supervised(tmp_path / "store")
-        clicks = make_clicks(30)
-        clicks[5] = Click(
-            timestamp=float("nan"), source_ip=1, cookie=1, ad_id=0,
-            publisher_id=0, advertiser_id=0,
-        )
-        supervisor.run(clicks)
-        assert session.registry.state_dict()["counters"][
-            "repro_dead_letters_total{reason=bad-timestamp}"
-        ] == 1
-
-
-class TestFaultCounters:
-    def test_injected_faults_are_counted(self):
-        registry = MetricsRegistry()
-        injector = FaultInjector(seed=5, registry=registry)
-        clicks = make_clicks(40)
-        with pytest.raises(InjectedCrash):
-            list(injector.crash_stream(clicks, 10))
-        injector.corrupt(b"some checkpoint bytes" * 4)
-        list(injector.reorder_stream(clicks, 6))
-        list(injector.delay_stream(clicks, 2, probability=0.5))
-        counters = registry.state_dict()["counters"]
-        assert counters["repro_faults_injected_total{kind=crash}"] == 1
-        assert counters["repro_faults_injected_total{kind=corrupt}"] == 1
-        assert counters["repro_faults_injected_total{kind=reorder}"] >= 1
-        assert counters["repro_faults_injected_total{kind=delay}"] >= 1
+        assert pipeline.telemetry.spans is None
 
 
 class TestMonitorCli:
@@ -442,11 +327,13 @@ class TestMonitorCli:
         out = capsys.readouterr().out
         assert "repro_detector_estimated_fp_rate" in out
         assert "duplicates" in out
+        assert "wrote 6 spans to" in out
         trace = json.loads((tmp_path / "trace.json").read_text())
-        assert any(
-            event["name"] == "pipeline.run_batch.chunk"
-            for event in trace["traceEvents"]
-        )
+        sizes = [
+            event["args"]["size"] for event in trace["traceEvents"]
+            if event["name"] == "pipeline.run_batch.chunk"
+        ]
+        assert sizes == [50] * 6
 
 
 SERVED_SPEC = DetectorSpec("tbf", WindowSpec("sliding", 4096), target_fp=0.01)
