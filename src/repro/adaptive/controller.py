@@ -8,7 +8,7 @@ opposite drift wastes memory.
 
 :class:`AdaptiveController` closes the loop.  Each :meth:`observe` call
 samples the wrapped detector's live ``estimated_fp_rate`` against the
-configuration's :func:`~repro.telemetry.instruments.theoretical_fp_bound`
+configuration's :func:`~repro.core.contract.theoretical_fp_bound`
 and keeps two streak counters:
 
 * **breach** — ``estimate > bound * breach_factor`` for
@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
+from ..core.contract import theoretical_fp_bound
 from ..detection.detector import (
     APBFParams,
     DetectorSpec,
@@ -211,11 +212,6 @@ class AdaptiveController:
         """The FP baseline: config override, else the a-priori bound."""
         if self.config.target_fp is not None:
             return self.config.target_fp
-        bound_fn = getattr(self.detector, "theoretical_fp_bound", None)
-        if bound_fn is not None:
-            return bound_fn()
-        from ..telemetry.instruments import theoretical_fp_bound
-
         return theoretical_fp_bound(self.detector)
 
     def estimate(self) -> Optional[float]:

@@ -51,7 +51,7 @@ import numpy as np
 
 from ..bitset.words import OperationCounter
 from ..bloom.params import apbf_false_positive_rate, sliced_false_positive_rate
-from ..errors import ConfigurationError, StreamError
+from ..errors import ConfigurationError
 from ..hashing import HashFamily, SplitMixFamily
 from ..core.batch import resolve_inserts, row_run
 from ..core.checkpoint import (
@@ -62,7 +62,12 @@ from ..core.checkpoint import (
     register_checkpoint_kind,
     save_detector,
 )
-from ..core.contract import CountBasedDetector, TimeBasedDetector
+from ..core.contract import (
+    HashedCountDetector,
+    HashedTimeDetector,
+    index_matrix,
+    spec_seed,
+)
 
 __all__ = [
     "AgePartitionedBFDetector",
@@ -314,7 +319,7 @@ class _SlicedFilter:
         }
 
 
-class AgePartitionedBFDetector(_SlicedFilter, CountBasedDetector):
+class AgePartitionedBFDetector(_SlicedFilter, HashedCountDetector):
     """Age-Partitioned Bloom Filter over a count-based sliding window.
 
     Parameters
@@ -353,11 +358,6 @@ class AgePartitionedBFDetector(_SlicedFilter, CountBasedDetector):
 
     # -- stream interface ---------------------------------------------
 
-    def process(self, identifier: int) -> bool:
-        """Observe the next click; True means duplicate (not recorded)."""
-        self.counter.hash_evaluations += self.family.num_hashes
-        return self.process_indices(self.family.indices(identifier))
-
     def process_indices(self, indices: Sequence[int]) -> bool:
         """Observe the next click given pre-computed hash indices."""
         self.counter.elements += 1
@@ -373,24 +373,11 @@ class AgePartitionedBFDetector(_SlicedFilter, CountBasedDetector):
             self._generation_count = 0
         return False
 
-    def query(self, identifier: int) -> bool:
-        """Side-effect-free duplicate check against the current slices."""
-        return self.query_indices(self.family.indices(identifier))
-
     def query_indices(self, indices: Sequence[int]) -> bool:
+        """Side-effect-free duplicate check against the current slices."""
         return self._match_scalar(indices)
 
     # -- batch interface ----------------------------------------------
-
-    def process_batch(self, identifiers: "np.ndarray") -> "np.ndarray":
-        """Observe a batch of clicks; bit-identical to a scalar loop."""
-        identifiers = np.asarray(identifiers, dtype=np.uint64)
-        if identifiers.ndim != 1:
-            raise ValueError(f"identifiers must be 1-D, got {identifiers.ndim}-D")
-        self.counter.hash_evaluations += self.family.num_hashes * int(
-            identifiers.shape[0]
-        )
-        return self.process_indices_batch(self.family.indices_batch(identifiers))
 
     def process_indices_batch(self, indices: "np.ndarray") -> "np.ndarray":
         """Batch variant of :meth:`process_indices` (``(n, S)`` indices).
@@ -400,10 +387,7 @@ class AgePartitionedBFDetector(_SlicedFilter, CountBasedDetector):
         that fills the generation does so with its last row, and the
         slice retires after the run.  Every row is probed once.
         """
-        idx = np.asarray(indices)
-        if idx.ndim != 2:
-            raise ValueError(f"indices must be (n, S), got {idx.ndim}-D")
-        idx = idx.astype(np.int64, copy=False)
+        idx = index_matrix(indices)
         n = idx.shape[0]
         out = np.empty(n, dtype=bool)
         start = 0
@@ -440,11 +424,6 @@ class AgePartitionedBFDetector(_SlicedFilter, CountBasedDetector):
         """The :class:`~repro.detection.DetectorSpec` rebuilding this detector."""
         from ..detection.detector import APBFParams, DetectorSpec, WindowSpec
 
-        if type(self.family) is not SplitMixFamily:
-            raise ConfigurationError(
-                "spec() requires the default SplitMixFamily; "
-                f"this detector uses {type(self.family).__name__}"
-            )
         return DetectorSpec(
             algorithm="apbf",
             window=WindowSpec("sliding", self.guaranteed_window),
@@ -454,7 +433,7 @@ class AgePartitionedBFDetector(_SlicedFilter, CountBasedDetector):
                 slice_bits=self.slice_bits,
                 generation_size=self.generation_size,
             ),
-            seed=self.family.seed,
+            seed=spec_seed(self.family),
         )
 
     def telemetry_snapshot(self) -> dict:
@@ -472,7 +451,7 @@ class AgePartitionedBFDetector(_SlicedFilter, CountBasedDetector):
         )
 
 
-class TimeLimitedBFDetector(_SlicedFilter, TimeBasedDetector):
+class TimeLimitedBFDetector(_SlicedFilter, HashedTimeDetector):
     """Time-limited Bloom filter over a wall-clock sliding window.
 
     Parameters
@@ -507,12 +486,7 @@ class TimeLimitedBFDetector(_SlicedFilter, TimeBasedDetector):
 
     def _advance_clock(self, timestamp: float) -> None:
         """Retire one slice per elapsed time unit (at most ``S``)."""
-        if self._last_time is not None and timestamp < self._last_time:
-            raise StreamError(
-                f"timestamp regressed: {timestamp} after {self._last_time}"
-            )
-        self._last_time = timestamp
-        unit = int(timestamp // self.unit_duration)
+        unit = self._stamp_unit(timestamp)
         if self._last_unit is None:
             self._last_unit = unit
             return
@@ -524,11 +498,6 @@ class TimeLimitedBFDetector(_SlicedFilter, TimeBasedDetector):
             self._shift()
 
     # -- stream interface ---------------------------------------------
-
-    def process_at(self, identifier: int, timestamp: float) -> bool:
-        """Observe a click at ``timestamp``; True means duplicate."""
-        self.counter.hash_evaluations += self.family.num_hashes
-        return self.process_indices_at(self.family.indices(identifier), timestamp)
 
     def process_indices_at(self, indices: Sequence[int], timestamp: float) -> bool:
         self._advance_clock(timestamp)
@@ -553,66 +522,22 @@ class TimeLimitedBFDetector(_SlicedFilter, TimeBasedDetector):
 
     # -- batch interface ----------------------------------------------
 
-    def process_batch_at(
-        self, identifiers: "np.ndarray", timestamps: "np.ndarray"
-    ) -> "np.ndarray":
-        """Observe a batch of clicks with timestamps; bit-identical to a
-        scalar :meth:`process_at` loop.
+    def _timed_run(self, idx, units, timestamps, start, out) -> int:
+        """The clicks sharing click ``start``'s time unit; returns their end.
 
-        Arrivals sharing a time unit form one vectorized run (no slice
-        retires inside a unit); unit boundaries advance the clock
-        scalar-style.  A regressing timestamp raises
-        :class:`~repro.errors.StreamError` exactly as the scalar loop
-        would: the elements before it are fully processed, the
-        regressing element is not.
+        No slice retires inside a unit, so they form one vectorized run;
+        unit boundaries advance the clock scalar-style.
         """
-        identifiers = np.asarray(identifiers, dtype=np.uint64)
-        timestamps = np.asarray(timestamps, dtype=np.float64)
-        if identifiers.ndim != 1:
-            raise ValueError(f"identifiers must be 1-D, got {identifiers.ndim}-D")
-        if timestamps.shape != identifiers.shape:
-            raise ValueError(
-                f"timestamps shape {timestamps.shape} != identifiers "
-                f"shape {identifiers.shape}"
-            )
-        n = identifiers.shape[0]
-        out = np.empty(n, dtype=bool)
-        if n == 0:
-            return out
-        previous = np.empty(n, dtype=np.float64)
-        previous[0] = self._last_time if self._last_time is not None else -np.inf
-        previous[1:] = timestamps[:-1]
-        regressions = np.nonzero(timestamps < previous)[0]
-        limit = int(regressions[0]) if regressions.size else n
-        # The scalar loop hashes the regressing element before its
-        # _advance_clock raises, so it is included in the tally.
-        self.counter.hash_evaluations += self.family.num_hashes * min(limit + 1, n)
-        if limit:
-            idx = self.family.indices_batch(identifiers[:limit]).astype(
-                np.int64, copy=False
-            )
-            units = np.floor_divide(timestamps[:limit], self.unit_duration).astype(
-                np.int64
-            )
-            start = 0
-            while start < limit:
-                self._advance_clock(float(timestamps[start]))
-                end = int(np.searchsorted(units, units[start], side="right"))
-                end = min(end, start + self._MAX_SEGMENT)
-                duplicate, inserters, young = self._probe_run(idx[start:end])
-                ins = np.nonzero(inserters)[0]
-                if ins.size:
-                    self._apply_inserts(young[ins])
-                self._tally_run(end - start, ins.size, duplicate)
-                out[start:end] = duplicate
-                self._last_time = float(timestamps[end - 1])
-                start = end
-        if limit < n:
-            raise StreamError(
-                f"timestamp regressed: {float(timestamps[limit])} "
-                f"after {float(previous[limit])}"
-            )
-        return out
+        self._advance_clock(float(timestamps[start]))
+        end = int(np.searchsorted(units, units[start], side="right"))
+        end = min(end, start + self._MAX_SEGMENT)
+        duplicate, inserters, young = self._probe_run(idx[start:end])
+        ins = np.nonzero(inserters)[0]
+        if ins.size:
+            self._apply_inserts(young[ins])
+        self._tally_run(end - start, ins.size, duplicate)
+        out[start:end] = duplicate
+        return end
 
     # -- introspection -------------------------------------------------
 
@@ -620,11 +545,6 @@ class TimeLimitedBFDetector(_SlicedFilter, TimeBasedDetector):
         """The :class:`~repro.detection.DetectorSpec` rebuilding this detector."""
         from ..detection.detector import DetectorSpec, TLBFParams, WindowSpec
 
-        if type(self.family) is not SplitMixFamily:
-            raise ConfigurationError(
-                "spec() requires the default SplitMixFamily; "
-                f"this detector uses {type(self.family).__name__}"
-            )
         return DetectorSpec(
             algorithm="time-limited-bf",
             window=WindowSpec("sliding", max(1, self.slice_bits)),
@@ -635,7 +555,7 @@ class TimeLimitedBFDetector(_SlicedFilter, TimeBasedDetector):
             ),
             duration=self.duration,
             resolution=self.num_aged,
-            seed=self.family.seed,
+            seed=spec_seed(self.family),
         )
 
     def telemetry_snapshot(self) -> dict:

@@ -49,7 +49,7 @@ from ..core.checkpoint import (
     register_retired_kind,
     save_detector,
 )
-from ..core.contract import batch_arrays
+from ..core.contract import batch_arrays, theoretical_fp_bound
 from ..detection.detector import (
     PARAMS_TYPES,
     TIME_BASED_ALGORITHMS,
@@ -239,8 +239,8 @@ class AdaptiveDetector:
         return self.inner.memory_bits
 
     def theoretical_fp_bound(self) -> Optional[float]:
-        from ..telemetry.instruments import theoretical_fp_bound
-
+        """The *current* inner detector's bound, so the envelope tracks
+        each migrate."""
         return theoretical_fp_bound(self.inner)
 
     def estimated_fp_rate(self) -> Optional[float]:

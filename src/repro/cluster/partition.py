@@ -35,7 +35,7 @@ from ..core.checkpoint import (
     save_detector,
     unpack_frame,
 )
-from ..core.contract import batch_arrays, require_query
+from ..core.contract import batch_arrays, require_query, worst_fp_bound
 from ..detection.sharded import (
     ShardedDetector,
     default_router,
@@ -156,6 +156,22 @@ class ClusterSlice:
     def checkpoint_state(self) -> bytes:
         return save_detector(self)
 
+    def theoretical_fp_bound(self) -> Optional[float]:
+        """Worst (maximum) a-priori FP bound across the owned shards."""
+        return worst_fp_bound(self.shards.values())
+
+    def estimated_fp_rate(self) -> float:
+        """Worst (maximum) live FP estimate across the owned shards."""
+        estimates = [
+            estimate()
+            for estimate in (
+                getattr(shard, "estimated_fp_rate", None)
+                for shard in self.shards.values()
+            )
+            if estimate is not None
+        ]
+        return max(estimates, default=0.0)
+
     def telemetry_snapshot(self) -> Dict[str, object]:
         elements = 0
         duplicates = 0
@@ -164,6 +180,7 @@ class ClusterSlice:
             duplicates += getattr(shard, "duplicates", 0)
         return {
             "gauges": {
+                "estimated_fp_rate": self.estimated_fp_rate(),
                 "owned_shards": float(len(self.shards)),
                 "total_shards": float(self.total_shards),
                 "observed_duplicate_rate": (

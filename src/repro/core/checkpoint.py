@@ -3,10 +3,12 @@
 A production click-stream processor restarts — deploys, crashes,
 rebalances.  Losing a detector's state silently un-flags every click of
 the last window (the attacker's dream), so the sketch must checkpoint.
-This module snapshots GBF / TBF detectors — count-based and time-based
-variants — to bytes and restores them to bit-identical state: the
-restored detector makes exactly the decisions the original would have
-(tested).
+This module holds the frame format, the kind registry and the store;
+every detector family registers a codec here that snapshots its state
+to bytes and restores it bit-identically: the restored detector makes
+exactly the decisions the original would have (tested).  The five core
+variants use two codecs, one per family (:mod:`repro.core.tbf`,
+:mod:`repro.core.gbf`).
 
 Format: an 8-byte magic, a length-prefixed JSON header carrying the
 configuration and scalar state, then the raw little-endian array
@@ -21,8 +23,8 @@ and parameters and rebuild it; exotic custom families are rejected at
 save time rather than mis-restored at load time.
 
 Dispatch is an open registry: :func:`register_checkpoint_kind` binds a
-``kind`` tag to a (class, save, load) triple, so higher layers — the
-sharded detectors in :mod:`repro.detection.sharded`, the parallel
+``kind`` tag to a (class, save, load) triple, so the core families and
+higher layers — the sharded detectors in :mod:`repro.detection.sharded`, the parallel
 engine, the adaptive wrappers — add their own frame kinds without this
 module importing them (no upward dependency).
 
@@ -41,7 +43,6 @@ import zlib
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
-import numpy as np
 
 from ..errors import CheckpointError, ConfigurationError, RecoveryError
 from ..hashing import (
@@ -51,11 +52,6 @@ from ..hashing import (
     SplitMixFamily,
     TabulationFamily,
 )
-from .gbf import GBFDetector
-from .gbf_timebased import TimeBasedGBFDetector
-from .tbf import TBFDetector
-from .tbf_jumping import TBFJumpingDetector
-from .tbf_timebased import TimeBasedTBFDetector
 
 __all__ = [
     "CheckpointError",
@@ -148,16 +144,14 @@ def unpack_frame(blob: bytes) -> Tuple[Dict[str, Any], bytes]:
     return header, payload
 
 
-# Backwards-compatible private aliases.
-_pack = pack_frame
-_unpack = unpack_frame
-
 
 # ----------------------------------------------------------------------
 # Generational store
 # ----------------------------------------------------------------------
 
-_GENERATION = re.compile(r"^ckpt-(\d{8})\.rpk$")
+#: Generation files: ``ckpt-<n>.rpk`` with ``n`` zero-padded to at least
+#: 8 digits (past 10^8 generations the name simply grows).
+_GENERATION = re.compile(r"^ckpt-(\d{8,})\.rpk$")
 
 _Parsed = TypeVar("_Parsed")
 
@@ -172,18 +166,20 @@ class CheckpointStore:
     ``keep`` generations are retained; older ones are pruned after the
     rename, so the fallback generation always exists on disk before its
     predecessor dies.  :meth:`load` is the one reader: every restore
-    trusts the generation it picks.
+    trusts the generation it picks.  Only :meth:`save` creates the
+    directory, so reading an absent store writes nothing.
     """
 
     def __init__(self, directory: Union[str, Path], keep: int = 2) -> None:
         if keep < 1:
             raise ConfigurationError(f"keep must be >= 1, got {keep}")
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.keep = keep
 
     def paths(self) -> List[Path]:
-        """Checkpoint files, oldest first."""
+        """Checkpoint files, oldest first (none for an absent directory)."""
+        if not self.directory.is_dir():
+            return []
         found = []
         for path in self.directory.iterdir():
             match = _GENERATION.match(path.name)
@@ -193,6 +189,7 @@ class CheckpointStore:
 
     def save(self, blob: bytes) -> Path:
         """Durably write the next generation and prune old ones."""
+        self.directory.mkdir(parents=True, exist_ok=True)
         paths = self.paths()
         index = int(_GENERATION.match(paths[-1].name).group(1)) + 1 if paths else 1
         final = self.directory / f"ckpt-{index:08d}.rpk"
@@ -337,244 +334,3 @@ def load_detector(blob: bytes):
     if loader is None:
         raise CheckpointError(f"unknown detector kind {kind!r} in checkpoint")
     return loader(header, payload)
-
-
-# ----------------------------------------------------------------------
-# Per-detector handlers
-# ----------------------------------------------------------------------
-
-def _save_gbf(detector: GBFDetector) -> bytes:
-    header = {
-        "kind": "gbf",
-        "window_size": detector.window_size,
-        "num_subwindows": detector.num_subwindows,
-        "bits_per_filter": detector.bits_per_filter,
-        "word_bits": detector.word_bits,
-        "family": _family_spec(detector.family),
-        "position": detector._position,
-        "current_lane": detector._current_lane,
-        "cleaning_lane": detector._cleaning_lane,
-        "clean_cursor": detector._clean_cursor,
-        "active_masks": [str(mask) for mask in detector._active_masks],
-        "duplicates": detector.duplicates,
-    }
-    payload = detector._matrix._words.tobytes()
-    return pack_frame(header, payload)
-
-
-def _load_gbf(header: Dict[str, Any], payload: bytes) -> GBFDetector:
-    family = _rebuild_family(header["family"])
-    try:
-        detector = GBFDetector(
-            header["window_size"],
-            header["num_subwindows"],
-            header["bits_per_filter"],
-            word_bits=header["word_bits"],
-            family=family,
-        )
-        words = np.frombuffer(payload, dtype=np.uint64).copy()
-        if words.shape != detector._matrix._words.shape:
-            raise CheckpointError("GBF payload size does not match configuration")
-        detector._matrix._words = words
-        detector._position = header["position"]
-        detector._current_lane = header["current_lane"]
-        detector._cleaning_lane = header["cleaning_lane"]
-        detector._clean_cursor = header["clean_cursor"]
-        detector._active_masks = [int(mask) for mask in header["active_masks"]]
-        detector.duplicates = int(header.get("duplicates", 0))
-    except KeyError as error:
-        raise CheckpointError(f"missing GBF checkpoint field: {error}") from error
-    return detector
-
-
-def _save_tbf(detector: TBFDetector) -> bytes:
-    header = {
-        "kind": "tbf",
-        "window_size": detector.window_size,
-        "num_entries": detector.num_entries,
-        "cleanup_slack": detector.cleanup_slack,
-        "family": _family_spec(detector.family),
-        "position": detector._position,
-        "clean_cursor": detector._clean_cursor,
-        "dtype": detector._entries.dtype.name,
-        "duplicates": detector.duplicates,
-    }
-    return pack_frame(header, detector._entries.tobytes())
-
-
-def _load_tbf(header: Dict[str, Any], payload: bytes) -> TBFDetector:
-    family = _rebuild_family(header["family"])
-    try:
-        detector = TBFDetector(
-            header["window_size"],
-            header["num_entries"],
-            cleanup_slack=header["cleanup_slack"],
-            family=family,
-        )
-        entries = np.frombuffer(payload, dtype=np.dtype(header["dtype"])).copy()
-        if entries.shape != detector._entries.shape:
-            raise CheckpointError("TBF payload size does not match configuration")
-        if entries.dtype != detector._entries.dtype:
-            raise CheckpointError("TBF payload dtype does not match configuration")
-        detector._entries = entries
-        detector._position = header["position"]
-        detector._clean_cursor = header["clean_cursor"]
-        detector.duplicates = int(header.get("duplicates", 0))
-    except KeyError as error:
-        raise CheckpointError(f"missing TBF checkpoint field: {error}") from error
-    return detector
-
-
-def _save_tbf_jumping(detector: TBFJumpingDetector) -> bytes:
-    header = {
-        "kind": "tbf-jumping",
-        "window_size": detector.window_size,
-        "num_subwindows": detector.num_subwindows,
-        "num_entries": detector.num_entries,
-        "cleanup_slack": detector.cleanup_slack,
-        "family": _family_spec(detector.family),
-        "position": detector._position,
-        "clean_cursor": detector._clean_cursor,
-        "dtype": detector._entries.dtype.name,
-        "duplicates": detector.duplicates,
-    }
-    return pack_frame(header, detector._entries.tobytes())
-
-
-def _load_tbf_jumping(header: Dict[str, Any], payload: bytes) -> TBFJumpingDetector:
-    family = _rebuild_family(header["family"])
-    try:
-        detector = TBFJumpingDetector(
-            header["window_size"],
-            header["num_subwindows"],
-            header["num_entries"],
-            cleanup_slack=header["cleanup_slack"],
-            family=family,
-        )
-        entries = np.frombuffer(payload, dtype=np.dtype(header["dtype"])).copy()
-        if entries.shape != detector._entries.shape:
-            raise CheckpointError(
-                "TBF-jumping payload size does not match configuration"
-            )
-        detector._entries = entries
-        detector._position = header["position"]
-        detector._clean_cursor = header["clean_cursor"]
-        detector.duplicates = int(header.get("duplicates", 0))
-    except KeyError as error:
-        raise CheckpointError(
-            f"missing TBF-jumping checkpoint field: {error}"
-        ) from error
-    return detector
-
-
-def _save_tbf_timebased(detector: TimeBasedTBFDetector) -> bytes:
-    header = {
-        "kind": "tbf-time",
-        "duration": detector.duration,
-        "resolution": detector.resolution,
-        "num_entries": detector.num_entries,
-        "cleanup_slack": detector.cleanup_slack,
-        "family": _family_spec(detector.family),
-        "clean_cursor": detector._clean_cursor,
-        "last_unit": detector._last_unit,
-        "last_time": detector._last_time,
-        "dtype": detector._entries.dtype.name,
-        "duplicates": detector.duplicates,
-    }
-    return pack_frame(header, detector._entries.tobytes())
-
-
-def _load_tbf_timebased(header: Dict[str, Any], payload: bytes) -> TimeBasedTBFDetector:
-    family = _rebuild_family(header["family"])
-    try:
-        detector = TimeBasedTBFDetector(
-            header["duration"],
-            header["resolution"],
-            header["num_entries"],
-            cleanup_slack=header["cleanup_slack"],
-            family=family,
-        )
-        entries = np.frombuffer(payload, dtype=np.dtype(header["dtype"])).copy()
-        if entries.shape != detector._entries.shape:
-            raise CheckpointError(
-                "time-based TBF payload size does not match configuration"
-            )
-        if entries.dtype != detector._entries.dtype:
-            raise CheckpointError(
-                "time-based TBF payload dtype does not match configuration"
-            )
-        detector._entries = entries
-        detector._clean_cursor = header["clean_cursor"]
-        detector._last_unit = header["last_unit"]
-        detector._last_time = header["last_time"]
-        detector.duplicates = int(header.get("duplicates", 0))
-    except KeyError as error:
-        raise CheckpointError(
-            f"missing time-based TBF checkpoint field: {error}"
-        ) from error
-    return detector
-
-
-def _save_gbf_timebased(detector: TimeBasedGBFDetector) -> bytes:
-    header = {
-        "kind": "gbf-time",
-        "duration": detector.duration,
-        "num_subwindows": detector.num_subwindows,
-        "units_per_subwindow": detector.units_per_subwindow,
-        "bits_per_filter": detector.bits_per_filter,
-        "word_bits": detector.word_bits,
-        "family": _family_spec(detector.family),
-        "current_lane": detector._current_lane,
-        "cleaning_lane": detector._cleaning_lane,
-        "clean_cursor": detector._clean_cursor,
-        "last_unit": detector._last_unit,
-        "last_time": detector._last_time,
-        "active_masks": [str(mask) for mask in detector._active_masks],
-        "duplicates": detector.duplicates,
-    }
-    payload = detector._matrix._words.tobytes()
-    return pack_frame(header, payload)
-
-
-def _load_gbf_timebased(header: Dict[str, Any], payload: bytes) -> TimeBasedGBFDetector:
-    family = _rebuild_family(header["family"])
-    try:
-        detector = TimeBasedGBFDetector(
-            header["duration"],
-            header["num_subwindows"],
-            header["bits_per_filter"],
-            units_per_subwindow=header["units_per_subwindow"],
-            word_bits=header["word_bits"],
-            family=family,
-        )
-        words = np.frombuffer(payload, dtype=np.uint64).copy()
-        if words.shape != detector._matrix._words.shape:
-            raise CheckpointError(
-                "time-based GBF payload size does not match configuration"
-            )
-        detector._matrix._words = words
-        detector._current_lane = header["current_lane"]
-        detector._cleaning_lane = header["cleaning_lane"]
-        detector._clean_cursor = header["clean_cursor"]
-        detector._last_unit = header["last_unit"]
-        detector._last_time = header["last_time"]
-        detector._active_masks = [int(mask) for mask in header["active_masks"]]
-        detector.duplicates = int(header.get("duplicates", 0))
-    except KeyError as error:
-        raise CheckpointError(
-            f"missing time-based GBF checkpoint field: {error}"
-        ) from error
-    return detector
-
-
-register_checkpoint_kind("gbf", GBFDetector, _save_gbf, _load_gbf)
-register_checkpoint_kind("tbf", TBFDetector, _save_tbf, _load_tbf)
-register_checkpoint_kind(
-    "tbf-jumping", TBFJumpingDetector, _save_tbf_jumping, _load_tbf_jumping
-)
-register_checkpoint_kind(
-    "tbf-time", TimeBasedTBFDetector, _save_tbf_timebased, _load_tbf_timebased
-)
-register_checkpoint_kind(
-    "gbf-time", TimeBasedGBFDetector, _save_gbf_timebased, _load_gbf_timebased
-)

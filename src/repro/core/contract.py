@@ -22,23 +22,39 @@ to the variant's own scalar reference loop (``process`` /
 method patched on the class (a profiler, a fault injector) is the one
 the contract reaches.  A variant without a vectorized batch path
 inherits :func:`scalar_loop` as its batch method.
+
+Variants built on one hash family share two more pieces:
+:class:`HashedCountDetector` is the count entry (hash one click or a
+whole batch, then hand the indices to the variant's ``*_indices*``
+paths) and :class:`HashedTimeDetector` is the timed one, whose batch
+entry processes the valid prefix of a batch and refuses the first
+regressing stamp exactly where the scalar loop would.
+:func:`theoretical_fp_bound` is the one lookup of a detector's a-priori
+FP bound.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, StreamError
+from ..hashing import SplitMixFamily
 
 __all__ = [
     "CountBasedDetector",
+    "HashedCountDetector",
+    "HashedTimeDetector",
     "TimeBasedDetector",
     "batch_arrays",
+    "index_matrix",
     "require_query",
     "require_timestamps",
     "scalar_loop",
+    "spec_seed",
+    "theoretical_fp_bound",
+    "worst_fp_bound",
 ]
 
 
@@ -150,3 +166,155 @@ class TimeBasedDetector:
     def process_batch_at(self, identifiers, timestamps) -> np.ndarray:
         """The scalar loop over :meth:`process_at`; vectorized variants override it."""
         return scalar_loop(self.process_at, identifiers, timestamps)
+
+
+def index_matrix(indices) -> np.ndarray:
+    """A batch's ``(n, k)`` hash indices as int64, refusing other shapes."""
+    idx = np.asarray(indices)
+    if idx.ndim != 2:
+        raise ValueError(f"indices must be (n, k), got {idx.ndim}-D")
+    return idx.astype(np.int64, copy=False)
+
+
+def spec_seed(family) -> int:
+    """``family``'s seed, which a spec carries; only the default
+    :class:`~repro.hashing.SplitMixFamily` rides a spec."""
+    if type(family) is not SplitMixFamily:
+        raise ConfigurationError(
+            "spec() requires the default SplitMixFamily; this detector "
+            f"uses {type(family).__name__}"
+        )
+    return family.seed
+
+
+class HashedCountDetector(CountBasedDetector):
+    """The count entry of a variant built on one hash family.
+
+    The variant supplies ``family``, ``counter`` and its index paths:
+    ``process_indices`` (the scalar reference step),
+    ``process_indices_batch`` (``(n, k)`` indices in, verdicts out) and
+    ``query_indices``.  Both entries tally ``num_hashes`` evaluations
+    per click.  A variant whose clock is the arrival position keeps it
+    in ``_position``.
+    """
+
+    def process(self, identifier: int) -> bool:
+        """Observe the next click; ``True`` means duplicate (not recorded)."""
+        self.counter.hash_evaluations += self.family.num_hashes
+        return self.process_indices(self.family.indices(identifier))
+
+    def process_batch(self, identifiers) -> np.ndarray:
+        """Verdicts for a batch of clicks, bit-identical to a :meth:`process`
+        loop: one hashing call, then the variant's batch path."""
+        identifiers, _ = batch_arrays(self, identifiers, None)
+        self.counter.hash_evaluations += self.family.num_hashes * int(
+            identifiers.shape[0]
+        )
+        return self.process_indices_batch(self.family.indices_batch(identifiers))
+
+    def query(self, identifier: int) -> bool:
+        """Side-effect-free duplicate check against the current window."""
+        return self.query_indices(self.family.indices(identifier))
+
+    def _clock_gauge(self) -> dict:
+        """The telemetry gauge of an arrival clock: the last position."""
+        return {"position": self._position}
+
+
+class HashedTimeDetector(TimeBasedDetector):
+    """The timed entry of a variant built on one hash family.
+
+    The variant supplies ``family``, ``counter``, ``unit_duration``, the
+    clock state ``_last_time`` / ``_last_unit``, ``process_indices_at``
+    (the scalar reference step, whose clock starts with
+    :meth:`_stamp_unit`) and ``_timed_run`` (one batch segment).
+    """
+
+    def process_at(self, identifier: int, timestamp: float) -> bool:
+        """Observe a click at ``timestamp``; ``True`` means duplicate."""
+        self.counter.hash_evaluations += self.family.num_hashes
+        return self.process_indices_at(self.family.indices(identifier), timestamp)
+
+    def _clock_gauge(self) -> dict:
+        """The telemetry gauge of a time clock: the last unit (-1 before any)."""
+        return {"time_unit": self._last_unit if self._last_unit is not None else -1}
+
+    def _stamp_unit(self, timestamp: float) -> int:
+        """Refuse a regressing ``timestamp``, record it, return its time unit."""
+        if self._last_time is not None and timestamp < self._last_time:
+            raise StreamError(
+                f"timestamp regressed: {timestamp} after {self._last_time}"
+            )
+        self._last_time = timestamp
+        return int(timestamp // self.unit_duration)
+
+    def process_batch_at(self, identifiers, timestamps) -> np.ndarray:
+        """Verdicts for a batch of timestamped clicks, bit-identical to a
+        :meth:`process_at` loop.
+
+        The valid prefix (every click before the first stamp that
+        regresses against the clock or its predecessor) is hashed in one
+        call, its stamps floor-divided into time units, and run through
+        the variant's ``_timed_run(idx, units, timestamps, start, out)``,
+        which advances the clock to click ``start`` scalar-style,
+        processes one segment and returns where it ends.  A regressing
+        stamp then raises :class:`~repro.errors.StreamError` as the
+        scalar loop would: the clicks before it are fully processed, its
+        hashes are tallied (``process_at`` hashes before the clock
+        refuses), and it is not processed.
+        """
+        identifiers, timestamps = batch_arrays(self, identifiers, timestamps)
+        n = identifiers.shape[0]
+        out = np.empty(n, dtype=bool)
+        if n == 0:
+            return out
+        previous = np.empty(n, dtype=np.float64)
+        previous[0] = self._last_time if self._last_time is not None else -np.inf
+        previous[1:] = timestamps[:-1]
+        regressions = np.nonzero(timestamps < previous)[0]
+        limit = int(regressions[0]) if regressions.size else n
+        self.counter.hash_evaluations += self.family.num_hashes * min(limit + 1, n)
+        if limit:
+            idx = self.family.indices_batch(identifiers[:limit]).astype(
+                np.int64, copy=False
+            )
+            units = np.floor_divide(timestamps[:limit], self.unit_duration).astype(
+                np.int64
+            )
+            start = 0
+            while start < limit:
+                end = self._timed_run(idx, units, timestamps, start, out)
+                self._last_time = float(timestamps[end - 1])
+                self._last_unit = int(units[end - 1])
+                start = end
+        if limit < n:
+            raise StreamError(
+                f"timestamp regressed: {float(timestamps[limit])} "
+                f"after {float(previous[limit])}"
+            )
+        return out
+
+
+def theoretical_fp_bound(detector) -> Optional[float]:
+    """A-priori FP bound of ``detector``'s configuration, if derivable.
+
+    Every detector that has one answers ``theoretical_fp_bound()``: the
+    GBF (Theorem 1), TBF (Theorem 2) and jumping TBF (§4.1) apply their
+    formula to their configuration, the APBF its closed form, and the
+    sharded, parallel, cluster-slice and adaptive tiers answer for the
+    shards or inner detector they run.  Time-based variants have none
+    (the element count per window is load-dependent): ``None``.
+    """
+    bound = getattr(detector, "theoretical_fp_bound", None)
+    return None if bound is None else bound()
+
+
+def worst_fp_bound(detectors: Iterable) -> Optional[float]:
+    """The maximum :func:`theoretical_fp_bound` over ``detectors``
+    (``None`` when none of them has one)."""
+    bounds = [
+        bound
+        for bound in map(theoretical_fp_bound, detectors)
+        if bound is not None
+    ]
+    return max(bounds) if bounds else None

@@ -31,25 +31,364 @@ The *Group Bloom Filter* fixes both problems:
 Properties (Theorem 1): zero false negatives; false positive rate
 ``O(Q)`` times a single sub-filter's; worst-case ``O(Q/D * M/N)`` word
 operations per element.
+
+The §3.1 time-based extension is the same lane matrix under another
+cleaning clock.  :class:`GroupFilter` is that matrix — lane masks and
+rotation, the scalar and batch probe/insert, introspection, telemetry
+and the checkpoint codec — and each variant keeps its own clock:
+:class:`GBFDetector` rotates every ``N/Q`` arrivals and cleans a quota
+per arrival, :class:`~repro.core.gbf_timebased.TimeBasedGBFDetector`
+rotates every ``T/Q`` of stream time and cleans a quota per time unit.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..bitset.words import OperationCounter
-from ..bloom.params import false_positive_rate_from_fill
+from ..bloom.params import false_positive_rate, false_positive_rate_from_fill
 from ..errors import ConfigurationError
 from ..hashing import HashFamily, SplitMixFamily
 from . import kernels
 from .batch import resolve_inserts
-from .contract import CountBasedDetector
+from .checkpoint import (
+    CheckpointError,
+    _family_spec,
+    _rebuild_family,
+    pack_frame,
+    register_checkpoint_kind,
+    save_detector,
+)
+from .contract import HashedCountDetector, index_matrix, spec_seed
 from .lanes import LanePackedBitMatrix
 
 
-class GBFDetector(CountBasedDetector):
+class GroupFilter:
+    """The GBF lane matrix under any cleaning clock.
+
+    A variant calls :meth:`_init_lanes` and supplies:
+
+    * its clock: when to :meth:`_rotate_to` a sub-window and how many
+      slots of the cleaning lane to :meth:`_clean` (scalar) or to clear
+      ahead of a :meth:`_fused_probe` (batch);
+    * ``kind``, ``_CONFIG`` and ``_STATE``: the checkpoint kind, the
+      constructor arguments the header records, and the clock state
+      it restores (attribute ``_<name>``);
+    * ``current_subwindow`` (telemetry counts it as ``rotations``),
+      ``spec()`` and, when it has one, ``theoretical_fp_bound()``.
+    """
+
+    #: Upper bound on one vectorized segment (bounds temp-array memory).
+    _MAX_SEGMENT = 1 << 16
+
+    kind: str
+    _CONFIG: Tuple[str, ...]
+    _STATE: Tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        # Every variant that names its kind checkpoints through the one
+        # codec below.
+        super().__init_subclass__(**kwargs)
+        if "kind" in vars(cls):
+            register_checkpoint_kind(
+                cls.kind, cls, _save_group_filter, partial(_load_group_filter, cls)
+            )
+
+    def _init_lanes(
+        self,
+        num_subwindows: int,
+        bits_per_filter: int,
+        num_hashes: int,
+        word_bits: int,
+        seed: int,
+        family: Optional[HashFamily],
+    ) -> None:
+        if bits_per_filter < 1:
+            raise ConfigurationError(
+                f"bits_per_filter must be >= 1, got {bits_per_filter}"
+            )
+        if family is None:
+            family = SplitMixFamily(num_hashes, bits_per_filter, seed)
+        if family.num_buckets != bits_per_filter:
+            raise ConfigurationError(
+                f"hash family range {family.num_buckets} != bits_per_filter "
+                f"{bits_per_filter}"
+            )
+        self.num_subwindows = num_subwindows
+        self.bits_per_filter = bits_per_filter
+        self.word_bits = word_bits
+        self.family = family
+        self.num_lanes = num_subwindows + 1
+
+        self.counter = OperationCounter()
+        #: Duplicate verdicts issued so far (telemetry; not part of
+        #: :class:`OperationCounter` so its equality semantics stay put).
+        self.duplicates = 0
+        self._matrix = LanePackedBitMatrix(
+            bits_per_filter, self.num_lanes, word_bits, self.counter
+        )
+        self._current_lane = 0
+        self._cleaning_lane: Optional[int] = None
+        self._clean_cursor = bits_per_filter  # nothing to clean yet
+        # Active-lane mask, shaped like the matrix's probe result: one
+        # field when lanes fit a word, else one int per word offset.
+        self._active_masks = [0] * self._matrix.words_per_slot
+        self._lane_bit(0, set_active=True)
+
+    # ------------------------------------------------------------------
+    # Lane bookkeeping
+    # ------------------------------------------------------------------
+
+    @property
+    def words_per_slot(self) -> int:
+        """Words per probed slot group (1 when ``Q + 1 <= D``)."""
+        return self._matrix.words_per_slot
+
+    @property
+    def slots_per_word(self) -> int:
+        """Fields densely packed per word (``D // (Q+1)`` when it fits)."""
+        return self._matrix.slots_per_word
+
+    def _lane_position(self, lane: int) -> Tuple[int, int]:
+        """``(word offset, bit)`` of ``lane`` in the active-lane masks."""
+        if self._matrix.words_per_slot == 1:
+            return 0, lane
+        return divmod(lane, self.word_bits)
+
+    def _lane_bit(self, lane: int, set_active: bool) -> None:
+        """Add or remove ``lane`` from the active-lane masks."""
+        offset, bit = self._lane_position(lane)
+        if set_active:
+            self._active_masks[offset] |= 1 << bit
+        else:
+            self._active_masks[offset] &= ~(1 << bit)
+
+    def _rotate_to(self, subwindow: int) -> None:
+        """Make ``subwindow``'s lane current and start cleaning the
+        lane that just expired.
+
+        Sub-window ``subwindow - Q`` expires; its lane is
+        ``(subwindow - Q) mod (Q+1) == (subwindow + 1) mod (Q+1)`` —
+        exactly the lane the *next* sub-window will claim.
+        """
+        new_lane = subwindow % self.num_lanes
+        self._current_lane = new_lane
+        self._lane_bit(new_lane, set_active=True)
+        if subwindow >= self.num_subwindows:
+            expired_lane = (subwindow + 1) % self.num_lanes
+            self._lane_bit(expired_lane, set_active=False)
+            self._cleaning_lane = expired_lane
+            self._clean_cursor = 0
+
+    @property
+    def _cleaning(self) -> bool:
+        """Whether the cleaning lane still has slots to zero."""
+        return (
+            self._cleaning_lane is not None
+            and self._clean_cursor < self.bits_per_filter
+        )
+
+    def _clean(self, budget: int) -> None:
+        """Zero the cleaning lane's bit in the next ``budget`` slots."""
+        if not self._cleaning or budget <= 0:
+            return
+        self._matrix.clear_lane_range(self._cleaning_lane, self._clean_cursor, budget)
+        self._clean_cursor = min(self._clean_cursor + budget, self.bits_per_filter)
+
+    # ------------------------------------------------------------------
+    # Probe and insert
+    # ------------------------------------------------------------------
+
+    def _insert(self, indices: Sequence[int]) -> bool:
+        """Probe the active lanes, insert into the current one on a miss;
+        True means duplicate."""
+        combined = self._matrix.probe_and(indices)
+        self.counter.elements += 1
+        masks = self._active_masks
+        for offset, field in enumerate(combined):
+            if field & masks[offset]:
+                self.duplicates += 1
+                return True
+        self._matrix.set_lane(indices, self._current_lane)
+        return False
+
+    def query_indices(self, indices: Sequence[int]) -> bool:
+        """Side-effect-free duplicate check against the active lanes."""
+        combined = self._matrix.probe_and(indices)
+        masks = self._active_masks
+        return any(field & masks[offset] for offset, field in enumerate(combined))
+
+    def _fused_probe(self, idx: "np.ndarray", out: "np.ndarray") -> None:
+        """Vectorized probe/insert of one rotation-free run of arrivals.
+
+        Dense layout only.  Cleaning touches the cleaning lane alone,
+        which is neither active nor current, so a variant clears the
+        run's quota before this call and every verdict, bit mutation
+        and op tally equals the scalar interleaving; intra-run
+        duplicates are resolved exactly by
+        :func:`repro.core.batch.resolve_inserts`.
+        """
+        n = idx.shape[0]
+        matrix = self._matrix
+        fields = matrix.probe_fields_batch(idx)
+        self.counter.elements += n
+        mask = np.uint64(self._active_masks[0])
+        dup0 = (kernels.row_and(fields) & mask) != 0
+        cov0 = ((fields >> np.uint64(self._current_lane)) & np.uint64(1)).astype(bool)
+        duplicate, inserters, _, _ = resolve_inserts(
+            dup0, cov0, idx, matrix.num_slots, need_covered=False
+        )
+        ins = np.nonzero(inserters)[0]
+        if ins.size:
+            matrix.or_lane_batch(idx if ins.size == n else idx[ins], self._current_lane)
+        self.duplicates += int(np.count_nonzero(duplicate))
+        out[:] = duplicate
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+
+    @property
+    def num_hashes(self) -> int:
+        return self.family.num_hashes
+
+    @property
+    def memory_bits(self) -> int:
+        """Physical modeled footprint after word packing."""
+        return self._matrix.memory_bits
+
+    @property
+    def logical_memory_bits(self) -> int:
+        """The paper's ``M = m * (Q + 1)`` (no word padding)."""
+        return self.bits_per_filter * self.num_lanes
+
+    def active_lanes(self) -> List[int]:
+        """Indices of lanes currently counted in duplicate checks."""
+        lanes = []
+        for lane in range(self.num_lanes):
+            offset, bit = self._lane_position(lane)
+            if self._active_masks[offset] >> bit & 1:
+                lanes.append(lane)
+        return lanes
+
+    def lane_bits_set(self, lane: int) -> int:
+        """Population count of one lane (testing/diagnostics)."""
+        return self._matrix.lane_population(lane)
+
+    @property
+    def observed_duplicate_rate(self) -> float:
+        """Fraction of processed clicks flagged duplicate so far."""
+        return self.duplicates / self.counter.elements if self.counter.elements else 0.0
+
+    def _fp_from_populations(self, populations: Iterable[int]) -> float:
+        """``1 - prod_i (1 - f_i^k)`` over the given lanes' populations."""
+        product = 1.0
+        m = self.bits_per_filter
+        k = self.num_hashes
+        for population in populations:
+            product *= 1.0 - false_positive_rate_from_fill(population / m, k)
+        return 1.0 - product
+
+    def estimated_fp_rate(self) -> float:
+        """Live FP estimate from the lanes' *measured* fill.
+
+        A query is a false positive when at least one active lane has
+        all ``k`` probed bits set, so with per-lane fills ``f_i`` the
+        rate is ``1 - prod_i (1 - f_i^k)`` — the union bound of §3 made
+        exact for the current fill state.
+        """
+        return self._fp_from_populations(
+            self._matrix.lane_population(lane) for lane in self.active_lanes()
+        )
+
+    def _spec_seed(self) -> int:
+        """The family seed a spec carries (default family and word size)."""
+        seed = spec_seed(self.family)
+        if self.word_bits != 64:
+            raise ConfigurationError(
+                f"spec() cannot express word_bits={self.word_bits}"
+            )
+        return seed
+
+    def checkpoint_state(self) -> bytes:
+        """Serialized sketch state (invert with :func:`repro.core.load_detector`).
+
+        Operational surface beside the
+        :class:`~repro.detection.api.Detector` contract; delegates to the
+        checkpoint registry (:func:`repro.core.save_detector`).
+        """
+        return save_detector(self)
+
+    def telemetry_snapshot(self) -> dict:
+        """Health metrics for :mod:`repro.telemetry.instruments`."""
+        counter = self.counter
+        # One population count per lane, shared by the fill gauges and
+        # the FP estimate (same floats as estimated_fp_rate()).
+        m = self.bits_per_filter
+        pops = [self._matrix.lane_population(lane) for lane in range(self.num_lanes)]
+        active = self.active_lanes()
+        return {
+            "gauges": {
+                **self._clock_gauge(),
+                "estimated_fp_rate": self._fp_from_populations(
+                    pops[lane] for lane in active
+                ),
+                "observed_duplicate_rate": self.observed_duplicate_rate,
+                "clean_cursor": self._clean_cursor if self._cleaning else 0,
+                "active_lanes": len(active),
+            },
+            "counters": {
+                "elements": counter.elements,
+                "duplicates": self.duplicates,
+                "hash_evaluations": counter.hash_evaluations,
+                "word_reads": counter.word_reads,
+                "word_writes": counter.word_writes,
+                "rotations": self.current_subwindow,
+            },
+            "fills": {
+                f"lane{lane}": pops[lane] / m
+                for lane in range(self.num_lanes)
+            },
+        }
+
+
+def _save_group_filter(detector: GroupFilter) -> bytes:
+    cls = type(detector)
+    header = {
+        "kind": cls.kind,
+        **{name: getattr(detector, name) for name in cls._CONFIG},
+        "family": _family_spec(detector.family),
+        **{name: getattr(detector, "_" + name) for name in cls._STATE},
+        "active_masks": [str(mask) for mask in detector._active_masks],
+        "duplicates": detector.duplicates,
+    }
+    return pack_frame(header, detector._matrix._words.tobytes())
+
+
+def _load_group_filter(cls, header, payload: bytes) -> GroupFilter:
+    family = _rebuild_family(header["family"])
+    try:
+        detector = cls(**{name: header[name] for name in cls._CONFIG}, family=family)
+        if len(payload) != detector._matrix._words.nbytes:
+            raise CheckpointError(
+                f"{cls.kind} payload size does not match configuration"
+            )
+        detector._matrix._words = np.frombuffer(payload, dtype=np.uint64).copy()
+        for name in cls._STATE:
+            setattr(detector, "_" + name, header[name])
+        detector._active_masks = [int(mask) for mask in header["active_masks"]]
+        detector.duplicates = int(header.get("duplicates", 0))
+    except KeyError as error:
+        raise CheckpointError(
+            f"missing {cls.kind} checkpoint field: {error}"
+        ) from error
+    return detector
+
+
+class GBFDetector(GroupFilter, HashedCountDetector):
     """One-pass duplicate-click detector over a count-based jumping window.
 
     Parameters
@@ -74,6 +413,10 @@ class GBFDetector(CountBasedDetector):
         ``num_hashes``/``seed``).
     """
 
+    kind = "gbf"
+    _CONFIG = ("window_size", "num_subwindows", "bits_per_filter", "word_bits")
+    _STATE = ("position", "current_lane", "cleaning_lane", "clean_cursor")
+
     def __init__(
         self,
         window_size: int,
@@ -94,113 +437,30 @@ class GBFDetector(CountBasedDetector):
             raise ConfigurationError(
                 f"window_size {window_size} not divisible by Q={num_subwindows}"
             )
-        if bits_per_filter < 1:
-            raise ConfigurationError(
-                f"bits_per_filter must be >= 1, got {bits_per_filter}"
-            )
-        if family is None:
-            family = SplitMixFamily(num_hashes, bits_per_filter, seed)
-        if family.num_buckets != bits_per_filter:
-            raise ConfigurationError(
-                f"hash family range {family.num_buckets} != bits_per_filter "
-                f"{bits_per_filter}"
-            )
-
         self.window_size = window_size
-        self.num_subwindows = num_subwindows
         self.subwindow_size = window_size // num_subwindows
-        self.bits_per_filter = bits_per_filter
-        self.word_bits = word_bits
-        self.family = family
-        self.num_lanes = num_subwindows + 1
-
-        self.counter = OperationCounter()
-        #: Duplicate verdicts issued so far (telemetry; not part of
-        #: :class:`OperationCounter` so its equality semantics stay put).
-        self.duplicates = 0
-        self._matrix = LanePackedBitMatrix(
-            bits_per_filter, self.num_lanes, word_bits, self.counter
+        self._init_lanes(
+            num_subwindows, bits_per_filter, num_hashes, word_bits, seed, family
         )
         # Cleaning quota: finish m slots within one sub-window of arrivals.
         self._clean_per_element = -(-bits_per_filter // self.subwindow_size)
-
         self._position = -1  # position of the most recent arrival
-        self._current_lane = 0
-        self._cleaning_lane: Optional[int] = None
-        self._clean_cursor = bits_per_filter  # nothing to clean yet
-        # Active-lane mask, shaped like the matrix's probe result: one
-        # field when lanes fit a word, else one int per word offset.
-        self._active_masks = [0] * self._matrix.words_per_slot
-        self._lane_bit(0, set_active=True)
 
-    # ------------------------------------------------------------------
-    # Lane bookkeeping
-    # ------------------------------------------------------------------
+    # -- the clock: rotate every N/Q arrivals, clean a quota per arrival --
 
-    @property
-    def words_per_slot(self) -> int:
-        """Words per probed slot group (1 when ``Q + 1 <= D``)."""
-        return self._matrix.words_per_slot
-
-    @property
-    def slots_per_word(self) -> int:
-        """Fields densely packed per word (``D // (Q+1)`` when it fits)."""
-        return self._matrix.slots_per_word
-
-    def _lane_bit(self, lane: int, set_active: bool) -> None:
-        """Add or remove ``lane`` from the active-lane masks."""
-        if self._matrix.words_per_slot == 1:
-            offset, bit = 0, lane
-        else:
-            offset, bit = divmod(lane, self.word_bits)
-        if set_active:
-            self._active_masks[offset] |= 1 << bit
-        else:
-            self._active_masks[offset] &= ~(1 << bit)
-
-    def _rotate(self) -> None:
-        """Advance to a new sub-window (called at each jump boundary).
+    def _rotate(self, subwindow: int) -> None:
+        """Advance to ``subwindow`` (called at each jump boundary).
 
         The invariant asserted here is the crux of the spare-lane
         design: the lane about to become current must be fully zeroed,
         which the per-element cleaning quota guarantees.
         """
-        if self._cleaning_lane is not None and self._clean_cursor < self.bits_per_filter:
+        if self._cleaning:
             raise AssertionError(
                 "GBF invariant violated: lane rotation before cleaning finished "
                 f"(cursor {self._clean_cursor} / {self.bits_per_filter})"
             )
-        subwindow = self._position // self.subwindow_size
-        new_lane = subwindow % self.num_lanes
-        self._current_lane = new_lane
-        self._lane_bit(new_lane, set_active=True)
-        if subwindow >= self.num_subwindows:
-            # Sub-window (subwindow - Q) just expired; its lane is
-            # (subwindow - Q) mod (Q+1) == (subwindow + 1) mod (Q+1) —
-            # exactly the lane the *next* sub-window will claim.
-            expired_lane = (subwindow + 1) % self.num_lanes
-            self._lane_bit(expired_lane, set_active=False)
-            self._cleaning_lane = expired_lane
-            self._clean_cursor = 0
-
-    def _clean_step(self) -> None:
-        """Zero the cleaning lane's bit in the next quota of slots."""
-        lane = self._cleaning_lane
-        if lane is None or self._clean_cursor >= self.bits_per_filter:
-            return
-        self._matrix.clear_lane_range(lane, self._clean_cursor, self._clean_per_element)
-        self._clean_cursor = min(
-            self._clean_cursor + self._clean_per_element, self.bits_per_filter
-        )
-
-    # ------------------------------------------------------------------
-    # Stream interface
-    # ------------------------------------------------------------------
-
-    def process(self, identifier: int) -> bool:
-        """Observe the next click; True means duplicate (not recorded)."""
-        self.counter.hash_evaluations += self.family.num_hashes
-        return self.process_indices(self.family.indices(identifier))
+        self._rotate_to(subwindow)
 
     def process_indices(self, indices: Sequence[int]) -> bool:
         """Observe the next click given pre-computed hash indices.
@@ -210,124 +470,48 @@ class GBFDetector(CountBasedDetector):
         """
         self._position += 1
         if self._position > 0 and self._position % self.subwindow_size == 0:
-            self._rotate()
-        self._clean_step()
-
-        combined = self._matrix.probe_and(indices)
-        self.counter.elements += 1
-        masks = self._active_masks
-        for offset, field in enumerate(combined):
-            if field & masks[offset]:
-                self.duplicates += 1
-                return True
-        self._matrix.set_lane(indices, self._current_lane)
-        return False
-
-    # ------------------------------------------------------------------
-    # Batch interface
-    # ------------------------------------------------------------------
-
-    #: Upper bound on one vectorized segment (bounds temp-array memory).
-    _MAX_SEGMENT = 1 << 16
-
-    def process_batch(self, identifiers: "np.ndarray") -> "np.ndarray":
-        """Observe a batch of clicks; returns the per-click verdicts.
-
-        Bit-identical to calling :meth:`process` in a loop — verdicts,
-        filter state, and operation counts all match exactly (see
-        tests/test_batch_equivalence.py) — but hashing, probing,
-        insertion, and lane cleaning run as numpy array ops.
-        """
-        identifiers = np.asarray(identifiers, dtype=np.uint64)
-        if identifiers.ndim != 1:
-            raise ValueError(f"identifiers must be 1-D, got {identifiers.ndim}-D")
-        self.counter.hash_evaluations += self.family.num_hashes * int(
-            identifiers.shape[0]
-        )
-        return self.process_indices_batch(self.family.indices_batch(identifiers))
+            self._rotate(self._position // self.subwindow_size)
+        self._clean(self._clean_per_element)
+        return self._insert(indices)
 
     def process_indices_batch(self, indices: "np.ndarray") -> "np.ndarray":
         """Batch variant of :meth:`process_indices` (``(n, k)`` index array).
 
-        The batch is split into segments at sub-window boundaries so
-        lane rotation stays a scalar event; within a segment probes,
-        inserts, and the cleaning sweep are single array operations,
-        with intra-segment duplicate interactions resolved exactly by
-        :func:`repro.core.batch.resolve_inserts`.
+        Bit-identical to the scalar loop.  The batch is split into
+        segments at sub-window boundaries so lane rotation stays a
+        scalar event; within a segment the cleaning sweep, probes and
+        inserts are single array operations.
         """
-        idx = np.asarray(indices)
-        if idx.ndim != 2:
-            raise ValueError(f"indices must be (n, k), got {idx.ndim}-D")
+        idx = index_matrix(indices)
         n = idx.shape[0]
         out = np.empty(n, dtype=bool)
-        if n == 0:
-            return out
         if self._matrix.words_per_slot != 1:
             # Wide layout (Q + 1 > D): the regime the paper hands to the
             # TBF; keep the scalar path rather than vectorizing it.
             for row in range(n):
-                out[row] = self.process_indices([int(v) for v in idx[row]])
+                out[row] = self.process_indices(idx[row].tolist())
             return out
-        idx = idx.astype(np.int64, copy=False)
         sub = self.subwindow_size
+        quota = self._clean_per_element
         start = 0
         while start < n:
-            first_pos = self._position + 1
-            if first_pos > 0 and first_pos % sub == 0:
-                # _rotate() reads _position; give it the boundary value.
-                self._position = first_pos
-                self._rotate()
-                self._position = first_pos - 1
-            into_sub = first_pos % sub
-            seg = min(n - start, sub - into_sub if into_sub else sub, self._MAX_SEGMENT)
-            self._process_segment(idx[start : start + seg], out[start : start + seg])
-            start += seg
+            first = self._position + 1
+            if first > 0 and first % sub == 0:
+                self._rotate(first // sub)
+            count = min(n - start, sub - first % sub, self._MAX_SEGMENT)
+            if self._cleaning:
+                self._matrix.clear_lane_segments(
+                    self._cleaning_lane, self._clean_cursor, quota, count
+                )
+                self._clean_cursor = min(
+                    self._clean_cursor + count * quota, self.bits_per_filter
+                )
+            self._fused_probe(idx[start : start + count], out[start : start + count])
+            self._position += count
+            start += count
         return out
 
-    def _process_segment(self, idx: "np.ndarray", out: "np.ndarray") -> None:
-        """Vectorized processing of one rotation-free run of arrivals."""
-        n, k = idx.shape
-        matrix = self._matrix
-        if self._cleaning_lane is not None and self._clean_cursor < self.bits_per_filter:
-            quota = self._clean_per_element
-            matrix.clear_lane_segments(
-                self._cleaning_lane, self._clean_cursor, quota, n
-            )
-            self._clean_cursor = min(
-                self._clean_cursor + n * quota, self.bits_per_filter
-            )
-        fields = matrix.probe_fields_batch(idx)
-        self.counter.elements += n
-        mask = np.uint64(self._active_masks[0])
-        dup0 = (kernels.row_and(fields) & mask) != 0
-        cov0 = ((fields >> np.uint64(self._current_lane)) & np.uint64(1)).astype(bool)
-        duplicate, inserters, _, _ = resolve_inserts(
-            dup0, cov0, idx, matrix.num_slots, need_covered=False
-        )
-        ins = np.nonzero(inserters)[0]
-        if ins.size:
-            slots = idx if ins.size == n else idx[ins]
-            matrix.or_lane_batch(slots, self._current_lane)
-        self._position += n
-        self.duplicates += int(np.count_nonzero(duplicate))
-        out[:] = duplicate
-
-    def query(self, identifier: int) -> bool:
-        """Side-effect-free duplicate check against the active window."""
-        return self.query_indices(self.family.indices(identifier))
-
-    def query_indices(self, indices: Sequence[int]) -> bool:
-        combined = self._matrix.probe_and(indices)
-        masks = self._active_masks
-        return any(field & masks[offset] for offset, field in enumerate(combined))
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def num_hashes(self) -> int:
-        return self.family.num_hashes
+    # -- introspection ---------------------------------------------------
 
     @property
     def position(self) -> int:
@@ -338,52 +522,15 @@ class GBFDetector(CountBasedDetector):
     def current_subwindow(self) -> int:
         return max(self._position, 0) // self.subwindow_size
 
-    @property
-    def memory_bits(self) -> int:
-        """Physical modeled footprint after word packing."""
-        return self._matrix.memory_bits
-
-    @property
-    def logical_memory_bits(self) -> int:
-        """The paper's ``M = m * (Q + 1)`` (no word padding)."""
-        return self.bits_per_filter * self.num_lanes
-
-    def active_lanes(self) -> List[int]:
-        """Indices of lanes currently counted in duplicate checks."""
-        lanes = []
-        for lane in range(self.num_lanes):
-            if self._matrix.words_per_slot == 1:
-                offset, bit = 0, lane
-            else:
-                offset, bit = divmod(lane, self.word_bits)
-            if self._active_masks[offset] >> bit & 1:
-                lanes.append(lane)
-        return lanes
-
-    def lane_bits_set(self, lane: int) -> int:
-        """Population count of one lane (testing/diagnostics)."""
-        return self._matrix.lane_population(lane)
-
-    @property
-    def observed_duplicate_rate(self) -> float:
-        """Fraction of processed clicks flagged duplicate so far."""
-        return self.duplicates / self.counter.elements if self.counter.elements else 0.0
-
-    def estimated_fp_rate(self) -> float:
-        """Live FP estimate from the lanes' *measured* fill.
-
-        A query is a false positive when at least one active lane has
-        all ``k`` probed bits set, so with per-lane fills ``f_i`` the
-        rate is ``1 - prod_i (1 - f_i^k)`` — the union bound of §3 made
-        exact for the current fill state.
-        """
-        product = 1.0
-        m = self.bits_per_filter
-        k = self.num_hashes
-        for lane in self.active_lanes():
-            fill = self._matrix.lane_population(lane) / m
-            product *= 1.0 - false_positive_rate_from_fill(fill, k)
-        return 1.0 - product
+    def theoretical_fp_bound(self) -> float:
+        """Theorem 1: each of the ``Q + 1`` lanes is a Bloom filter
+        holding at most one sub-window (``N/Q`` distinct elements), and
+        a false positive needs at least one active lane to fire:
+        ``1 - (1 - f_sub)^(Q+1)`` with ``f_sub = f(m, N/Q, k)``."""
+        f_sub = false_positive_rate(
+            self.bits_per_filter, self.subwindow_size, self.num_hashes
+        )
+        return 1.0 - (1.0 - f_sub) ** self.num_lanes
 
     def spec(self):
         """The :class:`~repro.detection.DetectorSpec` rebuilding this detector.
@@ -395,70 +542,13 @@ class GBFDetector(CountBasedDetector):
         """
         from ..detection.detector import DetectorSpec, GBFParams, WindowSpec
 
-        if type(self.family) is not SplitMixFamily:
-            raise ConfigurationError(
-                "spec() requires the default SplitMixFamily; this detector "
-                f"uses {type(self.family).__name__}"
-            )
-        if self.word_bits != 64:
-            raise ConfigurationError(
-                f"spec() cannot express word_bits={self.word_bits}"
-            )
+        seed = self._spec_seed()
         return DetectorSpec(
             algorithm="gbf",
             window=WindowSpec("jumping", self.window_size, self.num_subwindows),
             params=GBFParams(self.bits_per_filter, self.family.num_hashes),
-            seed=self.family.seed,
+            seed=seed,
         )
-
-    def checkpoint_state(self) -> bytes:
-        """Serialized sketch state (invert with :func:`repro.core.load_detector`).
-
-        Operational surface beside the
-        :class:`~repro.detection.api.Detector` contract; delegates to the
-        checkpoint registry (:func:`repro.core.save_detector`).
-        """
-        from .checkpoint import save_detector
-
-        return save_detector(self)
-
-    def telemetry_snapshot(self) -> dict:
-        """Health metrics for :mod:`repro.telemetry.instruments`."""
-        counter = self.counter
-        cleaning = (
-            self._cleaning_lane is not None
-            and self._clean_cursor < self.bits_per_filter
-        )
-        # One population count per lane, shared by the fill gauges and
-        # the FP estimate (same floats as estimated_fp_rate()).
-        m = self.bits_per_filter
-        k = self.num_hashes
-        pops = [self._matrix.lane_population(lane) for lane in range(self.num_lanes)]
-        active = self.active_lanes()
-        product = 1.0
-        for lane in active:
-            product *= 1.0 - false_positive_rate_from_fill(pops[lane] / m, k)
-        return {
-            "gauges": {
-                "position": self._position,
-                "estimated_fp_rate": 1.0 - product,
-                "observed_duplicate_rate": self.observed_duplicate_rate,
-                "clean_cursor": self._clean_cursor if cleaning else 0,
-                "active_lanes": len(active),
-            },
-            "counters": {
-                "elements": counter.elements,
-                "duplicates": self.duplicates,
-                "hash_evaluations": counter.hash_evaluations,
-                "word_reads": counter.word_reads,
-                "word_writes": counter.word_writes,
-                "rotations": self.current_subwindow,
-            },
-            "fills": {
-                f"lane{lane}": pops[lane] / m
-                for lane in range(self.num_lanes)
-            },
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

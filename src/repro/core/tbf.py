@@ -32,28 +32,52 @@ Properties (Theorem 2): zero false negatives; FP rate of a classical
 Bloom filter with ``m = M / O(log N)`` entries and ``N`` elements;
 ``O(k + m/(C+1))`` entry operations per element (``O(M / (N log N))``
 cleaning cost at the paper's default ``C = N - 1``).
+
+The §4.1 extensions are the same table under another clock: "instead
+of inserting the counting-based position, the time unit information is
+inserted into the entries of TBF".  :class:`TimingFilter` is that
+table — entries, scalar probe/insert and cursor sweep, the fused batch
+segment, introspection, telemetry and the checkpoint codec — and each
+variant supplies only its clock: :class:`TBFDetector` ticks once per
+arrival, :class:`~repro.core.tbf_jumping.TBFJumpingDetector` once per
+sub-window of arrivals and
+:class:`~repro.core.tbf_timebased.TimeBasedTBFDetector` once per time
+unit.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..bitset.words import OperationCounter
-from ..bloom.params import false_positive_rate_from_fill
+from ..bloom.params import false_positive_rate, false_positive_rate_from_fill
 from ..errors import ConfigurationError
 from ..hashing import HashFamily, SplitMixFamily
 from . import kernels
 from .batch import check_reads, resolve_inserts
-from .contract import CountBasedDetector
+from .checkpoint import (
+    CheckpointError,
+    _family_spec,
+    _rebuild_family,
+    pack_frame,
+    register_checkpoint_kind,
+    save_detector,
+)
+from .contract import HashedCountDetector, index_matrix, spec_seed
+
+
+def _bits_for_period(period: int) -> int:
+    """Bits per entry: ``period`` timestamps plus the empty sentinel."""
+    return max(1, math.ceil(math.log2(period + 1)))
 
 
 def entry_bits_required(window_size: int, cleanup_slack: int) -> int:
     """Bits per TBF entry: hold ``W = N + C + 1`` timestamps plus a sentinel."""
-    num_values = window_size + cleanup_slack + 1
-    return max(1, math.ceil(math.log2(num_values + 1)))
+    return _bits_for_period(window_size + cleanup_slack + 1)
 
 
 def _dtype_for_bits(bits: int) -> "np.dtype":
@@ -68,43 +92,57 @@ def _dtype_for_bits(bits: int) -> "np.dtype":
     raise ConfigurationError(f"entries wider than 64 bits unsupported ({bits})")
 
 
-class TBFDetector(CountBasedDetector):
-    """One-pass duplicate-click detector over a count-based sliding window.
+class TimingFilter:
+    """The TBF table under any clock.
 
-    Parameters
-    ----------
-    window_size:
-        Sliding-window size ``N`` in arrivals.
-    num_entries:
-        ``m``, the number of timestamp entries.
-    num_hashes:
-        ``k`` hash functions.
-    cleanup_slack:
-        ``C`` — the trade-off knob of §4.1.  Each entry is
-        ``ceil(log2(N + C + 2))`` bits and each arrival sweeps
-        ``ceil(m / (C + 1))`` entries.  Small ``C``: narrower entries,
-        more sweeping.  Large ``C``: wider entries, less sweeping.
-        Defaults to the paper's typical choice ``C = N - 1`` (one extra
-        bit per entry, ``~m/N`` sweeps per arrival).
-    seed / family:
-        Hash-family configuration.
+    A variant calls :meth:`_init_table` with its active span (the ticks
+    a stamp stays active: ``N`` arrivals, ``Q`` sub-windows or ``R``
+    time units) and its timestamp period, and supplies:
+
+    * ``_tick()``: the current unwrapped tick, ``None`` before the first
+      arrival;
+    * its scalar step: advance the clock, :meth:`_sweep` the tick's
+      cursor budget, then :meth:`_insert_at`;
+    * its batch segment bounds, each segment handed to
+      :meth:`_fused_segment`;
+    * ``kind``, ``_CONFIG`` and ``_STATE``: the checkpoint kind, the
+      constructor arguments the header records, and the clock state
+      it restores (attribute ``_<name>``);
+    * ``spec()`` and, when it has one, ``theoretical_fp_bound()``.
     """
 
-    def __init__(
+    #: Upper bound on one fused segment (bounds temp-array memory).
+    _MAX_SEGMENT = 1 << 16
+
+    #: Whether a tick is a sub-window rotation (telemetry then counts
+    #: the ticks as ``rotations``).
+    _TICK_IS_ROTATION = False
+
+    kind: str
+    _CONFIG: Tuple[str, ...]
+    _STATE: Tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        # Every variant that names its kind checkpoints through the one
+        # codec below.
+        super().__init_subclass__(**kwargs)
+        if "kind" in vars(cls):
+            register_checkpoint_kind(
+                cls.kind, cls, _save_timing_filter, partial(_load_timing_filter, cls)
+            )
+
+    def _init_table(
         self,
-        window_size: int,
         num_entries: int,
-        num_hashes: int = 4,
-        cleanup_slack: Optional[int] = None,
-        seed: int = 0,
-        family: Optional[HashFamily] = None,
+        num_hashes: int,
+        cleanup_slack: int,
+        seed: int,
+        family: Optional[HashFamily],
+        span: int,
+        period: int,
     ) -> None:
-        if window_size < 1:
-            raise ConfigurationError(f"window_size must be >= 1, got {window_size}")
         if num_entries < 1:
             raise ConfigurationError(f"num_entries must be >= 1, got {num_entries}")
-        if cleanup_slack is None:
-            cleanup_slack = window_size - 1
         if cleanup_slack < 0:
             raise ConfigurationError(
                 f"cleanup_slack must be >= 0, got {cleanup_slack}"
@@ -115,89 +153,75 @@ class TBFDetector(CountBasedDetector):
             raise ConfigurationError(
                 f"hash family range {family.num_buckets} != num_entries {num_entries}"
             )
-
-        self.window_size = window_size
         self.num_entries = num_entries
         self.cleanup_slack = cleanup_slack
         self.family = family
-
-        #: Timestamp modulus ``W = N + C + 1`` (see wraparound refinement).
-        self.timestamp_period = window_size + cleanup_slack + 1
-        self.entry_bits = entry_bits_required(window_size, cleanup_slack)
+        #: Timestamp modulus (see the wraparound refinement).
+        self.timestamp_period = period
+        self.entry_bits = _bits_for_period(period)
         #: All-ones sentinel marking an empty entry (never a valid timestamp).
         self.empty_value = (1 << self.entry_bits) - 1
         if self.empty_value < self.timestamp_period:
             raise AssertionError("sentinel collides with timestamp range")
-
+        #: Ticks a stamp stays active.
+        self._span = span
         self._entries = np.full(
             num_entries, self.empty_value, dtype=_dtype_for_bits(self.entry_bits)
         )
-        self._scan_per_element = -(-num_entries // (cleanup_slack + 1))
         self._clean_cursor = 0
-        self._position = -1
-
         self.counter = OperationCounter()
         #: Duplicate verdicts issued so far (telemetry; kept off the
         #: :class:`OperationCounter` to preserve its equality semantics).
         self.duplicates = 0
 
     # ------------------------------------------------------------------
-    # Internals
+    # Scalar reference: Step 1 (sweep) and Step 2 (probe, insert)
     # ------------------------------------------------------------------
 
-    def _age(self, timestamp: int, now: int) -> int:
-        return (now - timestamp) % self.timestamp_period
+    def _sweep(self, now: int, budget: int) -> None:
+        """Step 1: erase expired stamps in the next ``budget <= m`` slots.
 
-    def _clean_step(self, now: int) -> None:
-        """Step 1: erase expired timestamps in the next cursor segment."""
+        Tiny sweeps (a couple of entries between nearby arrivals) stay
+        a scalar loop; anything larger runs the vectorized slice kernel
+        — entry mutations, cursor, and tallies are identical either way.
+        """
         entries = self._entries
-        m = self.num_entries
         period = self.timestamp_period
-        window = self.window_size
+        span = self._span
         empty = self.empty_value
+        if budget >= 32:
+            self._clean_cursor, writes = kernels.clean_cursor_sweep(
+                entries, self._clean_cursor, budget, now, period, span, empty
+            )
+            self.counter.add(budget, writes)
+            return
+        m = self.num_entries
         cursor = self._clean_cursor
-        reads = 0
         writes = 0
-        for _ in range(self._scan_per_element):
+        for _ in range(budget):
             value = int(entries[cursor])
-            reads += 1
-            if value != empty and (now - value) % period >= window:
+            if value != empty and (now - value) % period >= span:
                 entries[cursor] = empty
                 writes += 1
             cursor += 1
             if cursor == m:
                 cursor = 0
         self._clean_cursor = cursor
-        self.counter.word_reads += reads
-        self.counter.word_writes += writes
+        self.counter.add(budget, writes)
 
-    # ------------------------------------------------------------------
-    # Stream interface
-    # ------------------------------------------------------------------
-
-    def process(self, identifier: int) -> bool:
-        """Observe the next click; True means duplicate (not recorded)."""
-        self.counter.hash_evaluations += self.family.num_hashes
-        return self.process_indices(self.family.indices(identifier))
-
-    def process_indices(self, indices: Sequence[int]) -> bool:
-        """Observe the next click given pre-computed hash indices."""
-        self._position += 1
-        now = self._position % self.timestamp_period
-        self._clean_step(now)
-
+    def _insert_at(self, indices: Sequence[int], now: int) -> bool:
+        """Step 2 at clock ``now``: the present-and-active check (footnotes
+        1-2 of §4.1), then the stamp; True means duplicate."""
         entries = self._entries
         period = self.timestamp_period
-        window = self.window_size
+        span = self._span
         empty = self.empty_value
-
-        # Step 2: present-and-active check (footnotes 1-2 of §4.1).
         duplicate = True
         reads = 0
         for index in indices:
             value = int(entries[index])
             reads += 1
-            if value == empty or (now - value) % period >= window:
+            if value == empty or (now - value) % period >= span:
                 duplicate = False
                 break
         self.counter.word_reads += reads
@@ -211,103 +235,82 @@ class TBFDetector(CountBasedDetector):
         self.counter.word_writes += len(indices)
         return False
 
+    def query_indices(self, indices: Sequence[int]) -> bool:
+        """Side-effect-free duplicate check at the current clock."""
+        tick = self._tick()
+        if tick is None:
+            return False
+        entries = self._entries
+        now = tick % self.timestamp_period
+        period = self.timestamp_period
+        span = self._span
+        empty = self.empty_value
+        for index in indices:
+            value = int(entries[index])
+            if value == empty or (now - value) % period >= span:
+                return False
+        return True
+
     # ------------------------------------------------------------------
-    # Batch interface
+    # Batch: one fused segment
     # ------------------------------------------------------------------
 
-    #: Upper bound on one vectorized chunk (bounds temp-array memory).
-    _MAX_CHUNK = 1 << 16
+    def _fused_segment(
+        self,
+        idx: "np.ndarray",
+        now0: int,
+        ticks: Optional["np.ndarray"],
+        sweep_rows: "np.ndarray",
+        out: "np.ndarray",
+    ) -> None:
+        """Probe, insert and sweep one run of arrivals against pre-run state.
 
-    def process_batch(self, identifiers: "np.ndarray") -> "np.ndarray":
-        """Observe a batch of clicks; returns the per-click verdicts.
+        Row ``i`` of the ``(n, k)`` int64 ``idx`` runs at clock ``now0 +
+        ticks[i]`` (``ticks`` is ``None`` when the whole run shares
+        ``now0``).  ``sweep_rows`` names, in cursor order, the row whose
+        Step 1 visits each swept slot.  The variant's segment bounds
+        guarantee two things:
 
-        Bit-identical to calling :meth:`process` in a loop — verdicts,
-        entry array, cursor, and operation counts all match exactly —
-        with hashing, the activity check, timestamp stores, and the
-        cleaning sweep vectorized.
+        * every in-run stamp stays active through the run
+          (``ticks[-1] < span``), so the resolver's covered matrix is
+          the probe-read truth;
+        * the run sweeps at most ``m`` slots, so the cursor visits no
+          entry twice.
+
+        Activity uses the *unwrapped* age ``base_age + ticks[i]``: the
+        cursor invariant (an expired entry is erased before its age
+        reaches the period) keeps the true age of any stamped entry
+        below the period, so the unwrapped form equals the scalar
+        modular compare at every row.  A swept slot is judged on its
+        pre-run value at its row's clock, except entries an earlier row
+        re-stamped, which are fresh and survive.  The cursor window is
+        at most two contiguous slices, so values and the erase store
+        are sliced views (erasures first, stamps after: an entry
+        erased by one row and re-written by a later one ends up
+        written).
         """
-        identifiers = np.asarray(identifiers, dtype=np.uint64)
-        if identifiers.ndim != 1:
-            raise ValueError(f"identifiers must be 1-D, got {identifiers.ndim}-D")
-        self.counter.hash_evaluations += self.family.num_hashes * int(
-            identifiers.shape[0]
-        )
-        return self.process_indices_batch(self.family.indices_batch(identifiers))
-
-    def process_indices_batch(self, indices: "np.ndarray") -> "np.ndarray":
-        """Batch variant of :meth:`process_indices` (``(n, k)`` index array)."""
-        idx = np.asarray(indices)
-        if idx.ndim != 2:
-            raise ValueError(f"indices must be (n, k), got {idx.ndim}-D")
-        n = idx.shape[0]
-        out = np.empty(n, dtype=bool)
-        if n == 0:
-            return out
-        idx = idx.astype(np.int64, copy=False)
-        # Chunk bounds that keep the vectorized step exact: within one
-        # chunk every in-chunk insert must stay active (<= window
-        # arrivals old) and the cleaning cursor must not lap any entry
-        # (<= m swept slots), so pre-chunk values plus first-writer
-        # resolution decide everything.
-        limit = max(
-            1,
-            min(
-                self.window_size,
-                self.num_entries // self._scan_per_element,
-                self._MAX_CHUNK,
-            ),
-        )
-        for start in range(0, n, limit):
-            stop = min(start + limit, n)
-            self._process_chunk(idx[start:stop], out[start:stop])
-        return out
-
-    def _process_chunk(self, idx: "np.ndarray", out: "np.ndarray") -> None:
         n, k = idx.shape
         entries = self._entries
         m = self.num_entries
         period = self.timestamp_period
-        window = self.window_size
+        span = self._span
         empty = self.empty_value
-        scan = self._scan_per_element
-        first_position = self._position + 1
-        now0 = first_position % period
-        rows = np.arange(n, dtype=np.int64)
 
-        # Activity against the pre-chunk state, evaluated per element
-        # via the *unwrapped* age: base_age + i.  The cursor invariant
-        # (an expired entry is erased within C+1 arrivals, i.e. at age
-        # <= N + C = period - 1) guarantees the true age of any entry
-        # still holding a value is < period, so the unwrapped form
-        # equals the scalar modular compare at every element — without
-        # it, an age wrapping past the period mid-chunk would misread
-        # as fresh.
         values = entries[idx].astype(np.int64)
         # (now0 - value) % period via conditional add (empty-sentinel
-        # rows come out garbage, masked by the != empty term below).
-        base_age = kernels.wrapped_ages(now0, values, period)
-        active0 = (values != empty) & (base_age + rows[:, None] < window)
+        # rows come out garbage, masked by the != empty term).
+        ages = kernels.wrapped_ages(now0, values, period)
+        if ticks is not None:
+            ages += ticks[:, None]
+        active0 = (values != empty) & (ages < span)
         dup0 = kernels.row_all(active0)
-        # In-chunk inserts are < window arrivals old, so a covered slot
-        # is active at probe time: the resolver's covered matrix is the
-        # probe-read truth directly.
         duplicate, inserters, writers, covered = resolve_inserts(
             dup0, active0, idx, m
         )
         reads = check_reads(covered)
         ins = np.nonzero(inserters)[0]
 
-        # Cleaning sweep: n * scan cursor slots, each visited at most
-        # once (chunk limit), judged against pre-chunk values at the
-        # sweeping element's clock — except entries an earlier element
-        # re-inserted, which are fresh and must survive.  The cursor
-        # window is at most two contiguous slices, so values and the
-        # erase store are sliced views — no index arrays, no modulo
-        # (erasures first, inserts after: an entry
-        # erased by one element and re-written by a later one ends up
-        # written, and slices are disjoint so the interleave is exact).
-        total = n * scan
-        sweep_element = kernels.repeat_arange(n, scan)
+        total = sweep_rows.shape[0]
         cursor = self._clean_cursor
         offset = 0
         clean_writes = 0
@@ -316,50 +319,38 @@ class TBFDetector(CountBasedDetector):
             length = min(total - offset, m - cursor)
             seg = entries[cursor : cursor + length]
             seg_values = seg.astype(np.int64)
-            elems = sweep_element[offset : offset + length]
-            seg_age = kernels.wrapped_ages(now0, seg_values, period) + elems
-            erase = (seg_values != empty) & (seg_age >= window)
+            rows = sweep_rows[offset : offset + length]
+            seg_age = kernels.wrapped_ages(now0, seg_values, period)
+            if ticks is not None:
+                seg_age += ticks[rows]
+            erase = (seg_values != empty) & (seg_age >= span)
             if ins.size:
-                erase &= ~writers.written_before(cursor, elems)
+                erase &= ~writers.written_before(cursor, rows)
             count = int(np.count_nonzero(erase))
             if count:
                 seg[erase] = empty_stamp
                 clean_writes += count
             cursor = (cursor + length) % m
             offset += length
-        if ins.size:
-            # The final stamp per entry is its *last* writer's position
-            # (fancy assignment has no duplicate-order guarantee, so the
-            # last writer is made explicit).
-            written, last = writers.last_writes()
-            entries[written] = ((first_position + last) % period).astype(
-                entries.dtype
-            )
+        self._clean_cursor = cursor
 
-        self._clean_cursor = int((self._clean_cursor + n * scan) % m)
-        self._position += n
-        self.counter.add(n * scan + reads, clean_writes + k * int(ins.size))
+        if ins.size:
+            if ticks is None:
+                # One clock for the run: every insert stamps the same
+                # value, so duplicate-index store order cannot matter.
+                entries[idx if ins.size == n else idx[ins]] = entries.dtype.type(now0)
+            else:
+                # The last writer's clock wins, exactly as in the scalar
+                # overwrite order (fancy assignment has no duplicate-order
+                # guarantee, so the last writer is made explicit).
+                written, last = writers.last_writes()
+                entries[written] = ((now0 + ticks[last]) % period).astype(
+                    entries.dtype
+                )
+        self.counter.add(total + reads, clean_writes + k * int(ins.size))
         self.counter.elements += n
         self.duplicates += int(np.count_nonzero(duplicate))
         out[:] = duplicate
-
-    def query(self, identifier: int) -> bool:
-        """Side-effect-free duplicate check against the current window."""
-        return self.query_indices(self.family.indices(identifier))
-
-    def query_indices(self, indices: Sequence[int]) -> bool:
-        if self._position < 0:
-            return False
-        entries = self._entries
-        now = self._position % self.timestamp_period
-        period = self.timestamp_period
-        window = self.window_size
-        empty = self.empty_value
-        for index in indices:
-            value = int(entries[index])
-            if value == empty or (now - value) % period >= window:
-                return False
-        return True
 
     # ------------------------------------------------------------------
     # Introspection
@@ -370,27 +361,19 @@ class TBFDetector(CountBasedDetector):
         return self.family.num_hashes
 
     @property
-    def position(self) -> int:
-        return self._position
-
-    @property
-    def scan_per_element(self) -> int:
-        """Entries swept by Step 1 on each arrival: ``ceil(m / (C+1))``."""
-        return self._scan_per_element
-
-    @property
     def memory_bits(self) -> int:
         """Modeled footprint ``m * entry_bits`` (Theorem 2's ``M``)."""
         return self.num_entries * self.entry_bits
 
     def _window_counts(self) -> Tuple[int, int]:
-        """``(active, occupied)`` entries at the current position."""
-        if self._position < 0:
+        """``(active, occupied)`` entries at the current clock."""
+        tick = self._tick()
+        if tick is None:
             return 0, 0
         return kernels.window_counts(
             self._entries,
-            self._position % self.timestamp_period,
-            self.window_size,
+            tick % self.timestamp_period,
+            self._span,
             self.timestamp_period,
             self.empty_value,
         )
@@ -419,27 +402,6 @@ class TBFDetector(CountBasedDetector):
             self.active_entries() / self.num_entries, self.num_hashes
         )
 
-    def spec(self):
-        """The :class:`~repro.detection.DetectorSpec` rebuilding this detector.
-
-        Exact round trip — ``create_detector(detector.spec())`` yields
-        an identically configured detector.  Requires the default
-        SplitMixFamily (a custom family cannot ride a spec).
-        """
-        from ..detection.detector import DetectorSpec, TBFParams, WindowSpec
-
-        if type(self.family) is not SplitMixFamily:
-            raise ConfigurationError(
-                "spec() requires the default SplitMixFamily; this detector "
-                f"uses {type(self.family).__name__}"
-            )
-        return DetectorSpec(
-            algorithm="tbf",
-            window=WindowSpec("sliding", self.window_size),
-            params=TBFParams(self.num_entries, self.num_hashes, self.cleanup_slack),
-            seed=self.family.seed,
-        )
-
     def checkpoint_state(self) -> bytes:
         """Serialized sketch state (invert with :func:`repro.core.load_detector`).
 
@@ -447,8 +409,6 @@ class TBFDetector(CountBasedDetector):
         :class:`~repro.detection.api.Detector` contract; delegates to the
         checkpoint registry (:func:`repro.core.save_detector`).
         """
-        from .checkpoint import save_detector
-
         return save_detector(self)
 
     def telemetry_snapshot(self) -> dict:
@@ -457,17 +417,16 @@ class TBFDetector(CountBasedDetector):
         # One count of the entry array feeds active count, stale count,
         # fill, and the FP estimate (same floats as estimated_fp_rate()).
         active, occupied = self._window_counts()
-        stale = occupied - active
         fill = active / self.num_entries
-        return {
+        snapshot = {
             "gauges": {
-                "position": self._position,
+                **self._clock_gauge(),
                 "estimated_fp_rate": false_positive_rate_from_fill(
                     fill, self.num_hashes
                 ),
                 "observed_duplicate_rate": self.observed_duplicate_rate,
                 "clean_cursor": self._clean_cursor,
-                "stale_entries": stale,
+                "stale_entries": occupied - active,
             },
             "counters": {
                 "elements": counter.elements,
@@ -480,6 +439,180 @@ class TBFDetector(CountBasedDetector):
                 "entries": fill,
             },
         }
+        if self._TICK_IS_ROTATION:
+            snapshot["counters"]["rotations"] = self._tick() or 0
+        return snapshot
+
+
+def _save_timing_filter(detector: TimingFilter) -> bytes:
+    cls = type(detector)
+    header = {
+        "kind": cls.kind,
+        **{name: getattr(detector, name) for name in cls._CONFIG},
+        "num_entries": detector.num_entries,
+        "cleanup_slack": detector.cleanup_slack,
+        "family": _family_spec(detector.family),
+        **{name: getattr(detector, "_" + name) for name in cls._STATE},
+        "dtype": detector._entries.dtype.name,
+        "duplicates": detector.duplicates,
+    }
+    return pack_frame(header, detector._entries.tobytes())
+
+
+def _load_timing_filter(cls, header, payload: bytes) -> TimingFilter:
+    family = _rebuild_family(header["family"])
+    try:
+        detector = cls(
+            **{name: header[name] for name in cls._CONFIG},
+            num_entries=header["num_entries"],
+            cleanup_slack=header["cleanup_slack"],
+            family=family,
+        )
+        if header["dtype"] != detector._entries.dtype.name:
+            raise CheckpointError(
+                f"{cls.kind} payload dtype {header['dtype']} does not match "
+                f"configuration ({detector._entries.dtype.name})"
+            )
+        if len(payload) != detector._entries.nbytes:
+            raise CheckpointError(
+                f"{cls.kind} payload size does not match configuration"
+            )
+        detector._entries = np.frombuffer(
+            payload, dtype=detector._entries.dtype
+        ).copy()
+        for name in cls._STATE:
+            setattr(detector, "_" + name, header[name])
+        detector.duplicates = int(header.get("duplicates", 0))
+    except KeyError as error:
+        raise CheckpointError(
+            f"missing {cls.kind} checkpoint field: {error}"
+        ) from error
+    return detector
+
+
+class TBFDetector(TimingFilter, HashedCountDetector):
+    """One-pass duplicate-click detector over a count-based sliding window.
+
+    Parameters
+    ----------
+    window_size:
+        Sliding-window size ``N`` in arrivals.
+    num_entries:
+        ``m``, the number of timestamp entries.
+    num_hashes:
+        ``k`` hash functions.
+    cleanup_slack:
+        ``C`` — the trade-off knob of §4.1.  Each entry is
+        ``ceil(log2(N + C + 2))`` bits and each arrival sweeps
+        ``ceil(m / (C + 1))`` entries.  Small ``C``: narrower entries,
+        more sweeping.  Large ``C``: wider entries, less sweeping.
+        Defaults to the paper's typical choice ``C = N - 1`` (one extra
+        bit per entry, ``~m/N`` sweeps per arrival).
+    seed / family:
+        Hash-family configuration.
+    """
+
+    kind = "tbf"
+    _CONFIG = ("window_size",)
+    _STATE = ("position", "clean_cursor")
+
+    def __init__(
+        self,
+        window_size: int,
+        num_entries: int,
+        num_hashes: int = 4,
+        cleanup_slack: Optional[int] = None,
+        seed: int = 0,
+        family: Optional[HashFamily] = None,
+    ) -> None:
+        if window_size < 1:
+            raise ConfigurationError(f"window_size must be >= 1, got {window_size}")
+        if cleanup_slack is None:
+            cleanup_slack = window_size - 1
+        self.window_size = window_size
+        self._init_table(
+            num_entries,
+            num_hashes,
+            cleanup_slack,
+            seed,
+            family,
+            span=window_size,
+            period=window_size + cleanup_slack + 1,
+        )
+        self._scan_per_element = -(-num_entries // (cleanup_slack + 1))
+        self._position = -1
+
+    # -- the clock: one tick per arrival --------------------------------
+
+    def _tick(self) -> Optional[int]:
+        return self._position if self._position >= 0 else None
+
+    def process_indices(self, indices: Sequence[int]) -> bool:
+        """Observe the next click given pre-computed hash indices."""
+        self._position += 1
+        now = self._position % self.timestamp_period
+        self._sweep(now, self._scan_per_element)
+        return self._insert_at(indices, now)
+
+    def process_indices_batch(self, indices: "np.ndarray") -> "np.ndarray":
+        """Batch variant of :meth:`process_indices` (``(n, k)`` index array).
+
+        Bit-identical to the scalar loop — verdicts, entry array,
+        cursor, and operation counts all match exactly.  A chunk holds
+        at most ``N`` arrivals (every in-chunk stamp stays active) and
+        at most ``m // scan`` (the cursor laps no entry).
+        """
+        idx = index_matrix(indices)
+        n = idx.shape[0]
+        out = np.empty(n, dtype=bool)
+        scan = self._scan_per_element
+        limit = max(
+            1, min(self.window_size, self.num_entries // scan, self._MAX_SEGMENT)
+        )
+        for start in range(0, n, limit):
+            stop = min(start + limit, n)
+            count = stop - start
+            self._fused_segment(
+                idx[start:stop],
+                (self._position + 1) % self.timestamp_period,
+                np.arange(count, dtype=np.int64),
+                kernels.repeat_arange(count, scan),
+                out[start:stop],
+            )
+            self._position += count
+        return out
+
+    # -- introspection ---------------------------------------------------
+
+    @property
+    def position(self) -> int:
+        return self._position
+
+    @property
+    def scan_per_element(self) -> int:
+        """Entries swept by Step 1 on each arrival: ``ceil(m / (C+1))``."""
+        return self._scan_per_element
+
+    def theoretical_fp_bound(self) -> float:
+        """Theorem 2: a classical Bloom filter of ``m`` entries over at
+        most ``N`` active elements, ``f(m, N, k)``."""
+        return false_positive_rate(self.num_entries, self.window_size, self.num_hashes)
+
+    def spec(self):
+        """The :class:`~repro.detection.DetectorSpec` rebuilding this detector.
+
+        Exact round trip — ``create_detector(detector.spec())`` yields
+        an identically configured detector.  Requires the default
+        SplitMixFamily (a custom family cannot ride a spec).
+        """
+        from ..detection.detector import DetectorSpec, TBFParams, WindowSpec
+
+        return DetectorSpec(
+            algorithm="tbf",
+            window=WindowSpec("sliding", self.window_size),
+            params=TBFParams(self.num_entries, self.num_hashes, self.cleanup_slack),
+            seed=spec_seed(self.family),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

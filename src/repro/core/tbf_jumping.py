@@ -9,33 +9,37 @@ jumping-window semantics with sliding-window machinery.
 
 Timestamps are measured in sub-window units, so entries need only
 ``ceil(log2(Q + C + 2))`` bits and the cleaning cursor has
-``(C + 1) * N/Q`` arrivals to cover the filter.
+``(C + 1) * N/Q`` arrivals to cover the filter.  The table is the
+TBF's (:class:`~repro.core.tbf.TimingFilter`); this module is the
+clock: one tick per sub-window of arrivals.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..bitset.words import OperationCounter
-from ..bloom.params import false_positive_rate_from_fill
+from ..bloom.params import false_positive_rate
 from ..errors import ConfigurationError
-from ..hashing import HashFamily, SplitMixFamily
+from ..hashing import HashFamily
 from . import kernels
-from .batch import check_reads, resolve_inserts
-from .contract import CountBasedDetector
-from .tbf import _dtype_for_bits
+from .contract import HashedCountDetector, index_matrix, spec_seed
+from .tbf import TimingFilter
 
 
-class TBFJumpingDetector(CountBasedDetector):
+class TBFJumpingDetector(TimingFilter, HashedCountDetector):
     """One-pass duplicate detector over a count-based jumping window.
 
     Parameters mirror :class:`~repro.core.gbf.GBFDetector` where they
     overlap; ``cleanup_slack`` is in *sub-window* units and defaults to
     ``Q - 1``.
     """
+
+    kind = "tbf-jumping"
+    _CONFIG = ("window_size", "num_subwindows")
+    _STATE = ("position", "clean_cursor")
+    _TICK_IS_ROTATION = True
 
     def __init__(
         self,
@@ -57,117 +61,36 @@ class TBFJumpingDetector(CountBasedDetector):
             raise ConfigurationError(
                 f"window_size {window_size} not divisible by Q={num_subwindows}"
             )
-        if num_entries < 1:
-            raise ConfigurationError(f"num_entries must be >= 1, got {num_entries}")
         if cleanup_slack is None:
             cleanup_slack = num_subwindows - 1
-        if cleanup_slack < 0:
-            raise ConfigurationError(
-                f"cleanup_slack must be >= 0, got {cleanup_slack}"
-            )
-        if family is None:
-            family = SplitMixFamily(num_hashes, num_entries, seed)
-        if family.num_buckets != num_entries:
-            raise ConfigurationError(
-                f"hash family range {family.num_buckets} != num_entries {num_entries}"
-            )
-
         self.window_size = window_size
         self.num_subwindows = num_subwindows
         self.subwindow_size = window_size // num_subwindows
-        self.num_entries = num_entries
-        self.cleanup_slack = cleanup_slack
-        self.family = family
-
-        self.timestamp_period = num_subwindows + cleanup_slack + 1
-        self.entry_bits = max(1, math.ceil(math.log2(self.timestamp_period + 1)))
-        self.empty_value = (1 << self.entry_bits) - 1
-        self._entries = np.full(
-            num_entries, self.empty_value, dtype=_dtype_for_bits(self.entry_bits)
+        self._init_table(
+            num_entries,
+            num_hashes,
+            cleanup_slack,
+            seed,
+            family,
+            span=num_subwindows,
+            period=num_subwindows + cleanup_slack + 1,
         )
         # Cursor must lap the filter within (C+1) sub-windows of arrivals.
         arrivals_per_lap = (cleanup_slack + 1) * self.subwindow_size
         self._scan_per_element = -(-num_entries // arrivals_per_lap)
-        self._clean_cursor = 0
         self._position = -1
 
-        self.counter = OperationCounter()
-        #: Duplicate verdicts issued so far (telemetry; kept off the
-        #: :class:`OperationCounter` to preserve its equality semantics).
-        self.duplicates = 0
+    # -- the clock: one tick per sub-window of arrivals -------------------
 
-    def _clean_step(self, now: int) -> None:
-        entries = self._entries
-        m = self.num_entries
-        period = self.timestamp_period
-        active_span = self.num_subwindows
-        empty = self.empty_value
-        cursor = self._clean_cursor
-        reads = 0
-        writes = 0
-        for _ in range(self._scan_per_element):
-            value = int(entries[cursor])
-            reads += 1
-            if value != empty and (now - value) % period >= active_span:
-                entries[cursor] = empty
-                writes += 1
-            cursor += 1
-            if cursor == m:
-                cursor = 0
-        self._clean_cursor = cursor
-        self.counter.word_reads += reads
-        self.counter.word_writes += writes
-
-    def process(self, identifier: int) -> bool:
-        """Observe the next click; True means duplicate (not recorded)."""
-        self.counter.hash_evaluations += self.family.num_hashes
-        return self.process_indices(self.family.indices(identifier))
+    def _tick(self) -> Optional[int]:
+        return self._position // self.subwindow_size if self._position >= 0 else None
 
     def process_indices(self, indices: Sequence[int]) -> bool:
+        """Observe the next click given pre-computed hash indices."""
         self._position += 1
         now = (self._position // self.subwindow_size) % self.timestamp_period
-        self._clean_step(now)
-
-        entries = self._entries
-        period = self.timestamp_period
-        active_span = self.num_subwindows
-        empty = self.empty_value
-
-        duplicate = True
-        reads = 0
-        for index in indices:
-            value = int(entries[index])
-            reads += 1
-            if value == empty or (now - value) % period >= active_span:
-                duplicate = False
-                break
-        self.counter.word_reads += reads
-        self.counter.elements += 1
-        if duplicate:
-            self.duplicates += 1
-            return True
-        stamp = entries.dtype.type(now)
-        for index in indices:
-            entries[index] = stamp
-        self.counter.word_writes += len(indices)
-        return False
-
-    # ------------------------------------------------------------------
-    # Batch interface
-    # ------------------------------------------------------------------
-
-    #: Upper bound on one vectorized segment (bounds temp-array memory).
-    _MAX_SEGMENT = 1 << 16
-
-    def process_batch(self, identifiers: "np.ndarray") -> "np.ndarray":
-        """Observe a batch of clicks; bit-identical to a scalar loop."""
-        identifiers = np.asarray(identifiers, dtype=np.uint64)
-        if identifiers.ndim != 1:
-            raise ValueError(f"identifiers must be 1-D, got {identifiers.ndim}-D")
-        self.counter.hash_evaluations += self.family.num_hashes * int(
-            identifiers.shape[0]
-        )
-        return self.process_indices_batch(self.family.indices_batch(identifiers))
+        self._sweep(now, self._scan_per_element)
+        return self._insert_at(indices, now)
 
     def process_indices_batch(self, indices: "np.ndarray") -> "np.ndarray":
         """Batch variant of :meth:`process_indices`.
@@ -176,110 +99,28 @@ class TBFJumpingDetector(CountBasedDetector):
         constant inside a sub-window) and after ``m // scan`` arrivals
         (so the cleaning cursor visits each entry at most once).
         """
-        idx = np.asarray(indices)
-        if idx.ndim != 2:
-            raise ValueError(f"indices must be (n, k), got {idx.ndim}-D")
+        idx = index_matrix(indices)
         n = idx.shape[0]
         out = np.empty(n, dtype=bool)
-        if n == 0:
-            return out
-        idx = idx.astype(np.int64, copy=False)
         sub = self.subwindow_size
-        cursor_limit = max(1, self.num_entries // self._scan_per_element)
+        scan = self._scan_per_element
+        cursor_limit = max(1, self.num_entries // scan)
         start = 0
         while start < n:
-            first_pos = self._position + 1
-            into_sub = first_pos % sub
-            seg = min(
-                n - start,
-                sub - into_sub if into_sub else sub,
-                cursor_limit,
-                self._MAX_SEGMENT,
+            first = self._position + 1
+            count = min(n - start, sub - first % sub, cursor_limit, self._MAX_SEGMENT)
+            self._fused_segment(
+                idx[start : start + count],
+                (first // sub) % self.timestamp_period,
+                None,
+                kernels.repeat_arange(count, scan),
+                out[start : start + count],
             )
-            self._process_segment(idx[start : start + seg], out[start : start + seg])
-            start += seg
+            self._position += count
+            start += count
         return out
 
-    def _process_segment(self, idx: "np.ndarray", out: "np.ndarray") -> None:
-        n, k = idx.shape
-        entries = self._entries
-        m = self.num_entries
-        period = self.timestamp_period
-        active_span = self.num_subwindows
-        empty = self.empty_value
-        scan = self._scan_per_element
-        first_position = self._position + 1
-        now = (first_position // self.subwindow_size) % period
-
-        values = entries[idx].astype(np.int64)
-        ages = kernels.wrapped_ages(now, values, period)
-        active0 = (values != empty) & (ages < active_span)
-        dup0 = kernels.row_all(active0)
-        duplicate, inserters, writers, covered = resolve_inserts(
-            dup0, active0, idx, m
-        )
-        reads = check_reads(covered)
-        ins = np.nonzero(inserters)[0]
-
-        # Cursor sweep over at most two contiguous slices (n * scan <= m
-        # by the segment limit): sliced views replace index arrays, and
-        # the interleaved per-slice erase is exact because slices are
-        # disjoint in entry space.
-        total = n * scan
-        sweep_element = kernels.repeat_arange(n, scan) if ins.size else None
-        cursor = self._clean_cursor
-        offset = 0
-        clean_writes = 0
-        empty_stamp = entries.dtype.type(empty)
-        while offset < total:
-            length = min(total - offset, m - cursor)
-            seg = entries[cursor : cursor + length]
-            seg_values = seg.astype(np.int64)
-            erase = (seg_values != empty) & (
-                kernels.wrapped_ages(now, seg_values, period) >= active_span
-            )
-            if ins.size:
-                erase &= ~writers.written_before(
-                    cursor, sweep_element[offset : offset + length]
-                )
-            count = int(np.count_nonzero(erase))
-            if count:
-                seg[erase] = empty_stamp
-                clean_writes += count
-            cursor = (cursor + length) % m
-            offset += length
-        if ins.size:
-            # Every in-segment insert stamps the same value, so the
-            # duplicate-index assignment order cannot matter.
-            flat = idx.ravel() if ins.size == n else idx[ins].ravel()
-            entries[flat] = entries.dtype.type(now)
-
-        self._clean_cursor = int((self._clean_cursor + n * scan) % m)
-        self._position += n
-        self.counter.add(n * scan + reads, clean_writes + k * int(ins.size))
-        self.counter.elements += n
-        self.duplicates += int(np.count_nonzero(duplicate))
-        out[:] = duplicate
-
-    def query(self, identifier: int) -> bool:
-        return self.query_indices(self.family.indices(identifier))
-
-    def query_indices(self, indices: Sequence[int]) -> bool:
-        if self._position < 0:
-            return False
-        entries = self._entries
-        now = (self._position // self.subwindow_size) % self.timestamp_period
-        period = self.timestamp_period
-        empty = self.empty_value
-        for index in indices:
-            value = int(entries[index])
-            if value == empty or (now - value) % period >= self.num_subwindows:
-                return False
-        return True
-
-    @property
-    def num_hashes(self) -> int:
-        return self.family.num_hashes
+    # -- introspection ---------------------------------------------------
 
     @property
     def position(self) -> int:
@@ -289,40 +130,13 @@ class TBFJumpingDetector(CountBasedDetector):
     def scan_per_element(self) -> int:
         return self._scan_per_element
 
-    @property
-    def memory_bits(self) -> int:
-        return self.num_entries * self.entry_bits
-
-    def _window_counts(self) -> Tuple[int, int]:
-        """``(active, occupied)`` entries at the current sub-window."""
-        if self._position < 0:
-            return 0, 0
-        return kernels.window_counts(
-            self._entries,
-            (self._position // self.subwindow_size) % self.timestamp_period,
-            self.num_subwindows,
-            self.timestamp_period,
-            self.empty_value,
-        )
-
-    def active_entries(self) -> int:
-        """Number of entries currently holding an active timestamp."""
-        return self._window_counts()[0]
-
-    def stale_entries(self) -> int:
-        """Entries holding an expired timestamp not yet swept (diagnostic)."""
-        active, occupied = self._window_counts()
-        return occupied - active
-
-    @property
-    def observed_duplicate_rate(self) -> float:
-        """Fraction of processed clicks flagged duplicate so far."""
-        return self.duplicates / self.counter.elements if self.counter.elements else 0.0
-
-    def estimated_fp_rate(self) -> float:
-        """Live FP estimate ``(active / m) ** k`` from the measured fill."""
-        return false_positive_rate_from_fill(
-            self.active_entries() / self.num_entries, self.num_hashes
+    def theoretical_fp_bound(self) -> float:
+        """§4.1: the active span covers the window plus the in-progress
+        sub-window, ``f(m, N + N/Q, k)``."""
+        return false_positive_rate(
+            self.num_entries,
+            self.window_size + self.subwindow_size,
+            self.num_hashes,
         )
 
     def spec(self):
@@ -334,59 +148,12 @@ class TBFJumpingDetector(CountBasedDetector):
         """
         from ..detection.detector import DetectorSpec, TBFParams, WindowSpec
 
-        if type(self.family) is not SplitMixFamily:
-            raise ConfigurationError(
-                "spec() requires the default SplitMixFamily; this detector "
-                f"uses {type(self.family).__name__}"
-            )
         return DetectorSpec(
             algorithm="tbf-jumping",
             window=WindowSpec("jumping", self.window_size, self.num_subwindows),
             params=TBFParams(self.num_entries, self.num_hashes, self.cleanup_slack),
-            seed=self.family.seed,
+            seed=spec_seed(self.family),
         )
-
-    def checkpoint_state(self) -> bytes:
-        """Serialized sketch state (invert with :func:`repro.core.load_detector`).
-
-        Operational surface beside the
-        :class:`~repro.detection.api.Detector` contract; delegates to the
-        checkpoint registry (:func:`repro.core.save_detector`).
-        """
-        from .checkpoint import save_detector
-
-        return save_detector(self)
-
-    def telemetry_snapshot(self) -> dict:
-        """Health metrics for :mod:`repro.telemetry.instruments`."""
-        counter = self.counter
-        # One count of the entry array feeds active count, stale count,
-        # fill, and the FP estimate (same floats as estimated_fp_rate()).
-        active, occupied = self._window_counts()
-        stale = occupied - active
-        fill = active / self.num_entries
-        return {
-            "gauges": {
-                "position": self._position,
-                "estimated_fp_rate": false_positive_rate_from_fill(
-                    fill, self.num_hashes
-                ),
-                "observed_duplicate_rate": self.observed_duplicate_rate,
-                "clean_cursor": self._clean_cursor,
-                "stale_entries": stale,
-            },
-            "counters": {
-                "elements": counter.elements,
-                "duplicates": self.duplicates,
-                "hash_evaluations": counter.hash_evaluations,
-                "word_reads": counter.word_reads,
-                "word_writes": counter.word_writes,
-                "rotations": max(self._position, 0) // self.subwindow_size,
-            },
-            "fills": {
-                "entries": fill,
-            },
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -46,7 +46,12 @@ from ..core.checkpoint import (
     save_detector,
     unpack_frame,
 )
-from ..core.contract import batch_arrays, require_query, require_timestamps
+from ..core.contract import (
+    batch_arrays,
+    require_query,
+    require_timestamps,
+    worst_fp_bound,
+)
 from ..errors import ConfigurationError
 from ..hashing.family import _splitmix64, splitmix64_batch
 
@@ -258,6 +263,10 @@ class _ShardFailover:
             "counters": {"elements": elements, "duplicates": duplicates},
             "shards": self._shard_health(),
         }
+
+    def theoretical_fp_bound(self) -> Optional[float]:
+        """Worst (maximum) a-priori FP bound across the shards."""
+        return worst_fp_bound(self.shards)
 
     def estimated_fp_rate(self) -> float:
         """Worst (maximum) live FP estimate across healthy shards."""

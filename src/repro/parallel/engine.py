@@ -61,7 +61,7 @@ from ..core.checkpoint import (
     register_retired_kind,
     save_detector,
 )
-from ..core.contract import batch_arrays, require_timestamps
+from ..core.contract import batch_arrays, require_timestamps, worst_fp_bound
 from ..errors import CheckpointError, ConfigurationError, ParallelError
 from ..detection.sharded import (
     FailoverPolicy,
@@ -981,6 +981,12 @@ class ParallelShardedDetector:
     @property
     def memory_bits(self) -> int:
         return self.base.memory_bits
+
+    def theoretical_fp_bound(self) -> Optional[float]:
+        """Worst (maximum) a-priori FP bound across the shards.  The
+        workers run copies of base's shards and the bound is sizing
+        math only, so base's shards answer for the fleet."""
+        return worst_fp_bound(self.base.shards)
 
     def degraded_shards(self) -> Dict[int, Dict[str, object]]:
         return {

@@ -16,8 +16,9 @@ detectors add a ``shards`` section of per-shard gauge maps.
 * shards   -> ``repro_shard_<key>{detector=...,shard=...}``
 
 The instrument also monitors the paper's FP envelope: it publishes the
-detector's a-priori bound (:func:`theoretical_fp_bound`, Theorems 1-4
-applied to the configuration) next to the live
+detector's a-priori bound (:func:`theoretical_fp_bound`: the
+detector's own ``theoretical_fp_bound()``, Theorems 1-4 applied to the
+configuration) next to the live
 ``estimated_fp_rate`` gauge, and counts the collections that found
 the live estimate above ``bound * margin``.  A
 :class:`~repro.telemetry.TelemetrySession` collects on every registry
@@ -28,61 +29,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from ..bloom.params import false_positive_rate
+from ..core.contract import theoretical_fp_bound
 
 __all__ = ["DetectorInstrument", "theoretical_fp_bound"]
-
-
-def theoretical_fp_bound(detector) -> Optional[float]:
-    """A-priori FP bound for a detector's configuration, if derivable.
-
-    * GBF (Theorem 1): each of the ``Q + 1`` lanes is a Bloom filter
-      holding at most one sub-window (``N/Q`` distinct elements), and a
-      false positive needs at least one active lane to fire:
-      ``1 - (1 - f_sub)^(Q+1)`` with ``f_sub = f(m, N/Q, k)``.
-    * TBF (Theorem 2): a classical Bloom filter of ``m`` entries over
-      at most ``N`` active elements: ``f(m, N, k)``.
-    * Jumping TBF (§4.1): the active span covers the window plus the
-      in-progress sub-window: ``f(m, N + N/Q, k)``.
-    * Sharded: the worst (maximum) bound across shards.
-    * Time-based variants: ``None`` — the element count per window is
-      load-dependent, so there is no a-priori bound to compare against.
-    """
-    kind = type(detector).__name__
-    if kind == "GBFDetector":
-        f_sub = false_positive_rate(
-            detector.bits_per_filter,
-            detector.subwindow_size,
-            detector.num_hashes,
-        )
-        return 1.0 - (1.0 - f_sub) ** detector.num_lanes
-    if kind == "TBFDetector":
-        return false_positive_rate(
-            detector.num_entries, detector.window_size, detector.num_hashes
-        )
-    if kind == "TBFJumpingDetector":
-        return false_positive_rate(
-            detector.num_entries,
-            detector.window_size + detector.subwindow_size,
-            detector.num_hashes,
-        )
-    if kind == "AgePartitionedBFDetector":
-        # APBF (Shtul et al. 2020): closed-form run-of-k bound over
-        # steady-state slice fills; the detector owns the formula.
-        return detector.theoretical_fp_bound()
-    if kind == "AdaptiveDetector":
-        # The resizable wrapper answers with its *current* inner
-        # detector's bound, so the envelope tracks each migrate.
-        return theoretical_fp_bound(detector.inner)
-    if kind == "ShardedDetector":
-        bounds = [theoretical_fp_bound(shard) for shard in detector.shards]
-        bounds = [bound for bound in bounds if bound is not None]
-        return max(bounds) if bounds else None
-    if kind == "ParallelShardedDetector":
-        # The workers run copies of base's shards; the bound is sizing
-        # math only, so base answers for the fleet.
-        return theoretical_fp_bound(detector.base)
-    return None
 
 
 class DetectorInstrument:

@@ -3,6 +3,7 @@ rejection, custom-family refusal, and the generational checkpoint store."""
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -16,7 +17,9 @@ from repro.core import (
     load_detector,
     pack_frame,
     save_detector,
+    unpack_frame,
 )
+from repro.cluster import read_manifest
 from repro.errors import RecoveryError
 from repro.hashing import CarterWegmanFamily, HashFamily
 from repro.resilience import FaultInjector
@@ -268,3 +271,60 @@ def test_store_load_without_a_usable_generation_raises(tmp_path):
     injector.corrupt_file(store.save(_frame("test", "new")), "flip-byte")
     with pytest.raises(RecoveryError, match="no usable 'test' checkpoint among 2"):
         store.load("test", _value)
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: TBFDetector(64, 2048, 4, seed=3),
+        lambda: TBFJumpingDetector(64, 8, 2048, 4, seed=3),
+        lambda: TimeBasedTBFDetector(24.0, 8, 2048, 4, seed=3),
+    ],
+    ids=["tbf", "tbf-jumping", "tbf-time"],
+)
+def test_every_tbf_kind_refuses_a_payload_of_another_dtype(factory):
+    """A frame whose header widens the entries (uint8 -> uint16, the
+    payload re-encoded to match) has the right entry count but not the
+    configuration's dtype; no TBF kind may load it."""
+    detector = factory()
+    for position in range(200):
+        detector.observe(position % 50, float(position) / 10)
+    header, payload = unpack_frame(save_detector(detector))
+    assert header["dtype"] == "uint8"
+    header["dtype"] = "uint16"
+    widened = np.frombuffer(payload, dtype=np.uint8).astype(np.uint16)
+    with pytest.raises(CheckpointError, match="dtype"):
+        load_detector(pack_frame(header, widened.tobytes()))
+
+
+@pytest.mark.parametrize("name,factory", DETECTOR_FACTORIES)
+def test_a_payload_of_the_wrong_length_is_refused(name, factory):
+    """A frame whose CRC holds but whose payload is one byte too long is
+    a :class:`CheckpointError` (which a store falls back past), never a
+    decoding error that escapes the loader."""
+    header, payload = unpack_frame(save_detector(factory()))
+    with pytest.raises(CheckpointError, match="payload size"):
+        load_detector(pack_frame(header, payload + b"\0"))
+
+
+def test_store_lists_generations_past_eight_digits(tmp_path):
+    """The generation after ``ckpt-99999999`` is ``ckpt-100000000``; it
+    must be listed, ordered by number, and be what ``load`` returns."""
+    old = tmp_path / "ckpt-99999999.rpk"
+    old.write_bytes(_frame("test", "old"))
+    store = CheckpointStore(tmp_path, keep=2)
+    newest = store.save(_frame("test", "new"))
+    assert newest.name == "ckpt-100000000.rpk"
+    assert store.paths() == [old, newest]
+    assert store.load("test", _value) == "new"
+
+
+def test_reading_an_absent_store_writes_nothing(tmp_path):
+    directory = tmp_path / "typo"
+    store = CheckpointStore(directory / "node-0")
+    assert store.paths() == []
+    assert store.load("test", _value) is None
+    assert read_manifest(directory) is None
+    assert not directory.exists()
+    store.save(_frame("test", "first"))
+    assert store.load("test", _value) == "first"

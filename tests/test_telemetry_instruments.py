@@ -32,7 +32,7 @@ from repro.core import (
     load_detector,
     save_detector,
 )
-from repro.cluster import LocalCluster
+from repro.cluster import LocalCluster, split_sharded
 from repro.detection import DetectionPipeline, DetectorSpec, WindowSpec, create_detector
 from repro.detection.sharded import FailoverPolicy
 from repro.serve import ServeClient, ServeConfig, ServerThread
@@ -117,6 +117,26 @@ class TestTheoreticalBounds:
         detector = tbf_fleet(64, 4, 4096, seed=1)
         shard_bounds = [theoretical_fp_bound(shard) for shard in detector.shards]
         assert theoretical_fp_bound(detector) == max(shard_bounds)
+
+    def test_cluster_slices_publish_their_worst_shard(self):
+        """Each node of a 2-node split answers the bound and the live
+        estimate of its worst owned shard, and its instrument publishes
+        both."""
+        fleet = tbf_fleet(1 << 10, 4, 1 << 11, 4, seed=1)
+        fleet.observe_batch(np.arange(3000, dtype=np.uint64) % 1500)
+        for node in split_sharded(fleet, np.array([0, 1, 0, 1]), 2):
+            owned = list(node.shards.values())
+            bound = max(theoretical_fp_bound(shard) for shard in owned)
+            estimate = max(shard.estimated_fp_rate() for shard in owned)
+            assert estimate > 0.0
+            assert theoretical_fp_bound(node) == bound
+            assert node.telemetry_snapshot()["gauges"]["estimated_fp_rate"] == estimate
+            registry = MetricsRegistry()
+            instrument = DetectorInstrument(node, registry, name="node")
+            assert instrument.fp_bound == bound
+            instrument.collect()
+            series = registry.state_dict()["gauges"]
+            assert series["repro_detector_estimated_fp_rate{detector=node}"] == estimate
 
 
 class TestLiveFpGauge:
