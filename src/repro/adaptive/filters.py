@@ -151,8 +151,9 @@ class _SlicedFilter:
         self.shifts += 1
         self.counter.word_writes += self.words_per_slice
 
-    def _match_scalar(self, indices: Sequence[int]) -> bool:
-        """Run-of-``k`` membership; ``indices`` in physical slice order."""
+    def query_indices(self, indices: Sequence[int]) -> bool:
+        """Side-effect-free run-of-``k`` membership against the current
+        slices; ``indices`` in physical slice order."""
         words = self._slices
         num_slices = self.num_slices
         num_required = self.num_required
@@ -362,7 +363,7 @@ class AgePartitionedBFDetector(_SlicedFilter, HashedCountDetector):
         """Observe the next click given pre-computed hash indices."""
         self.counter.elements += 1
         self.counter.word_reads += self.num_slices
-        if self._match_scalar(indices):
+        if self.query_indices(indices):
             self.duplicates += 1
             return True
         self._insert_scalar(indices)
@@ -372,10 +373,6 @@ class AgePartitionedBFDetector(_SlicedFilter, HashedCountDetector):
             self._shift()
             self._generation_count = 0
         return False
-
-    def query_indices(self, indices: Sequence[int]) -> bool:
-        """Side-effect-free duplicate check against the current slices."""
-        return self._match_scalar(indices)
 
     # -- batch interface ----------------------------------------------
 
@@ -503,22 +500,12 @@ class TimeLimitedBFDetector(_SlicedFilter, HashedTimeDetector):
         self._advance_clock(timestamp)
         self.counter.elements += 1
         self.counter.word_reads += self.num_slices
-        if self._match_scalar(indices):
+        if self.query_indices(indices):
             self.duplicates += 1
             return True
         self._insert_scalar(indices)
         self.counter.word_writes += self.num_required
         return False
-
-    def query_at(self, identifier: int, timestamp: float) -> bool:
-        """Duplicate check at ``timestamp`` without recording the element.
-
-        Advances the slice clock (time passes regardless) but does not
-        insert.
-        """
-        indices = self.family.indices(identifier)
-        self._advance_clock(timestamp)
-        return self._match_scalar(indices)
 
     # -- batch interface ----------------------------------------------
 
@@ -561,9 +548,7 @@ class TimeLimitedBFDetector(_SlicedFilter, HashedTimeDetector):
     def telemetry_snapshot(self) -> dict:
         """Health metrics for :mod:`repro.telemetry.instruments`."""
         snapshot = self._telemetry_common()
-        snapshot["gauges"]["time_unit"] = (
-            self._last_unit if self._last_unit is not None else -1
-        )
+        snapshot["gauges"].update(self._clock_gauge())
         return snapshot
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -225,15 +225,25 @@ class HashedTimeDetector(TimeBasedDetector):
     """The timed entry of a variant built on one hash family.
 
     The variant supplies ``family``, ``counter``, ``unit_duration``, the
-    clock state ``_last_time`` / ``_last_unit``, ``process_indices_at``
-    (the scalar reference step, whose clock starts with
-    :meth:`_stamp_unit`) and ``_timed_run`` (one batch segment).
+    clock state ``_last_time`` / ``_last_unit``, ``_advance_clock``
+    (which starts with :meth:`_stamp_unit`), ``process_indices_at`` (the
+    scalar reference step), ``query_indices`` (a check at the clock's
+    current unit) and ``_timed_run`` (one batch segment).
     """
 
     def process_at(self, identifier: int, timestamp: float) -> bool:
         """Observe a click at ``timestamp``; ``True`` means duplicate."""
         self.counter.hash_evaluations += self.family.num_hashes
         return self.process_indices_at(self.family.indices(identifier), timestamp)
+
+    def query_at(self, identifier: int, timestamp: float) -> bool:
+        """Duplicate check at ``timestamp`` without recording the element.
+
+        Advances the clock (time passes regardless) but does not insert.
+        """
+        indices = self.family.indices(identifier)
+        self._advance_clock(timestamp)
+        return self.query_indices(indices)
 
     def _clock_gauge(self) -> dict:
         """The telemetry gauge of a time clock: the last unit (-1 before any)."""

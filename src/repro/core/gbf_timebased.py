@@ -142,12 +142,6 @@ class TimeBasedGBFDetector(GroupFilter, HashedTimeDetector):
         self._advance_clock(timestamp)
         return self._insert(indices)
 
-    def query_at(self, identifier: int, timestamp: float) -> bool:
-        """Duplicate check at ``timestamp`` without recording the element."""
-        indices = self.family.indices(identifier)
-        self._advance_clock(timestamp)
-        return self.query_indices(indices)
-
     def _timed_run(self, idx, units, timestamps, start, out) -> int:
         """The rest of click ``start``'s sub-window; returns its end.
 

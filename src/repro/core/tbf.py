@@ -114,10 +114,6 @@ class TimingFilter:
     #: Upper bound on one fused segment (bounds temp-array memory).
     _MAX_SEGMENT = 1 << 16
 
-    #: Whether a tick is a sub-window rotation (telemetry then counts
-    #: the ticks as ``rotations``).
-    _TICK_IS_ROTATION = False
-
     kind: str
     _CONFIG: Tuple[str, ...]
     _STATE: Tuple[str, ...]
@@ -259,17 +255,19 @@ class TimingFilter:
         self,
         idx: "np.ndarray",
         now0: int,
-        ticks: Optional["np.ndarray"],
+        ticks: "np.ndarray",
         sweep_rows: "np.ndarray",
         out: "np.ndarray",
     ) -> None:
         """Probe, insert and sweep one run of arrivals against pre-run state.
 
         Row ``i`` of the ``(n, k)`` int64 ``idx`` runs at clock ``now0 +
-        ticks[i]`` (``ticks`` is ``None`` when the whole run shares
-        ``now0``).  ``sweep_rows`` names, in cursor order, the row whose
-        Step 1 visits each swept slot.  The variant's segment bounds
-        guarantee two things:
+        ticks[i]`` (``ticks`` is ``(n,)`` int64, non-decreasing from 0).
+        ``sweep_rows`` names, in cursor order, the row whose Step 1
+        visits each swept slot.  A run on one clock (every offset 0:
+        each jumping-TBF segment, a time-TBF run inside one unit) skips
+        the offset adds and stores its one stamp directly.  The
+        variant's segment bounds guarantee two things:
 
         * every in-run stamp stays active through the run
           (``ticks[-1] < span``), so the resolver's covered matrix is
@@ -296,11 +294,13 @@ class TimingFilter:
         span = self._span
         empty = self.empty_value
 
+        one_clock = int(ticks[-1]) == 0
+
         values = entries[idx].astype(np.int64)
         # (now0 - value) % period via conditional add (empty-sentinel
         # rows come out garbage, masked by the != empty term).
         ages = kernels.wrapped_ages(now0, values, period)
-        if ticks is not None:
+        if not one_clock:
             ages += ticks[:, None]
         active0 = (values != empty) & (ages < span)
         dup0 = kernels.row_all(active0)
@@ -321,7 +321,7 @@ class TimingFilter:
             seg_values = seg.astype(np.int64)
             rows = sweep_rows[offset : offset + length]
             seg_age = kernels.wrapped_ages(now0, seg_values, period)
-            if ticks is not None:
+            if not one_clock:
                 seg_age += ticks[rows]
             erase = (seg_values != empty) & (seg_age >= span)
             if ins.size:
@@ -334,19 +334,16 @@ class TimingFilter:
             offset += length
         self._clean_cursor = cursor
 
-        if ins.size:
-            if ticks is None:
-                # One clock for the run: every insert stamps the same
-                # value, so duplicate-index store order cannot matter.
-                entries[idx if ins.size == n else idx[ins]] = entries.dtype.type(now0)
-            else:
-                # The last writer's clock wins, exactly as in the scalar
-                # overwrite order (fancy assignment has no duplicate-order
-                # guarantee, so the last writer is made explicit).
-                written, last = writers.last_writes()
-                entries[written] = ((now0 + ticks[last]) % period).astype(
-                    entries.dtype
-                )
+        if ins.size and one_clock:
+            # Every insert stamps the same value, so duplicate-index
+            # store order cannot matter.
+            entries[idx if ins.size == n else idx[ins]] = entries.dtype.type(now0)
+        elif ins.size:
+            # The last writer's clock wins, exactly as in the scalar
+            # overwrite order (fancy assignment has no duplicate-order
+            # guarantee, so the last writer is made explicit).
+            written, last = writers.last_writes()
+            entries[written] = ((now0 + ticks[last]) % period).astype(entries.dtype)
         self.counter.add(total + reads, clean_writes + k * int(ins.size))
         self.counter.elements += n
         self.duplicates += int(np.count_nonzero(duplicate))
@@ -418,7 +415,7 @@ class TimingFilter:
         # fill, and the FP estimate (same floats as estimated_fp_rate()).
         active, occupied = self._window_counts()
         fill = active / self.num_entries
-        snapshot = {
+        return {
             "gauges": {
                 **self._clock_gauge(),
                 "estimated_fp_rate": false_positive_rate_from_fill(
@@ -439,9 +436,6 @@ class TimingFilter:
                 "entries": fill,
             },
         }
-        if self._TICK_IS_ROTATION:
-            snapshot["counters"]["rotations"] = self._tick() or 0
-        return snapshot
 
 
 def _save_timing_filter(detector: TimingFilter) -> bytes:

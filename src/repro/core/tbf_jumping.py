@@ -39,7 +39,6 @@ class TBFJumpingDetector(TimingFilter, HashedCountDetector):
     kind = "tbf-jumping"
     _CONFIG = ("window_size", "num_subwindows")
     _STATE = ("position", "clean_cursor")
-    _TICK_IS_ROTATION = True
 
     def __init__(
         self,
@@ -96,8 +95,9 @@ class TBFJumpingDetector(TimingFilter, HashedCountDetector):
         """Batch variant of :meth:`process_indices`.
 
         Segments end at sub-window boundaries (the timestamp ``now`` is
-        constant inside a sub-window) and after ``m // scan`` arrivals
-        (so the cleaning cursor visits each entry at most once).
+        constant inside a sub-window, so every row's tick offset is 0)
+        and after ``m // scan`` arrivals (so the cleaning cursor visits
+        each entry at most once).
         """
         idx = index_matrix(indices)
         n = idx.shape[0]
@@ -112,7 +112,7 @@ class TBFJumpingDetector(TimingFilter, HashedCountDetector):
             self._fused_segment(
                 idx[start : start + count],
                 (first // sub) % self.timestamp_period,
-                None,
+                np.zeros(count, dtype=np.int64),
                 kernels.repeat_arange(count, scan),
                 out[start : start + count],
             )
@@ -129,6 +129,12 @@ class TBFJumpingDetector(TimingFilter, HashedCountDetector):
     @property
     def scan_per_element(self) -> int:
         return self._scan_per_element
+
+    def telemetry_snapshot(self) -> dict:
+        """Health metrics, plus the sub-window boundaries crossed."""
+        snapshot = super().telemetry_snapshot()
+        snapshot["counters"]["rotations"] = self._tick() or 0
+        return snapshot
 
     def theoretical_fp_bound(self) -> float:
         """§4.1: the active span covers the window plus the in-progress

@@ -114,16 +114,6 @@ class TimeBasedTBFDetector(TimingFilter, HashedTimeDetector):
     def process_indices_at(self, indices: Sequence[int], timestamp: float) -> bool:
         return self._insert_at(indices, self._advance_clock(timestamp))
 
-    def query_at(self, identifier: int, timestamp: float) -> bool:
-        """Duplicate check at ``timestamp`` without recording the element.
-
-        Advances the cleaning clock (time passes regardless) but does not
-        insert.
-        """
-        indices = self.family.indices(identifier)
-        self._advance_clock(timestamp)
-        return self.query_indices(indices)
-
     def _timed_run(self, idx, units, timestamps, start, out) -> int:
         """One multi-unit segment from click ``start``; returns its end.
 
